@@ -10,11 +10,12 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
+from .arith import factorize
 from .enumeration import count_N, index_set_member, list_representations, wr_survey
 from .errors import InvariantViolation
 from .lattice import ClassParams
 from .optimizer import max_min, rank_by_snr
-from .triples import generate_tree
+from .triples import admissible_params, generate_tree
 
 # the eleven classical small indices replayed by `maxmin --table1`
 TABLE1_INDICES = (8, 15, 21, 24, 32, 35, 40, 45, 55, 60, 65)
@@ -72,10 +73,9 @@ def _print_json(obj) -> None:
 
 def _witness_name(params: ClassParams, k: int) -> str:
     """Human name of the scaled minimal lattice, e.g. 2*sqrt(21)*Gamma_theta(1,1)."""
-    f = math.isqrt(k)
-    while k % (f * f):
-        f -= 1
-    squarefree = k // (f * f)
+    fac = factorize(k)
+    f = math.prod(p ** (e // 2) for p, e in fac.items())
+    squarefree = math.prod(p for p, e in fac.items() if e % 2)
     parts = []
     if f > 1:
         parts.append(str(f))
@@ -224,19 +224,22 @@ def _oracle_check(J: int) -> tuple[int, int, int, int | None, int | None]:
     return (J, len(survey), count_N(J), survey[0].minimum if survey else None, best)
 
 
-def _oracle_workers() -> int:
+def _oracle_workers(jmax: int) -> int:
+    """Worker processes for an oracle scan: HEXWR_THREADS, at most one per CPU and per index."""
+    workers = min(max(1, os.cpu_count() or 1), jmax)
     raw = os.environ.get("HEXWR_THREADS", "")
     if raw.strip():
         try:
-            return max(1, int(raw))
+            threads = int(raw)
         except ValueError:
             raise _UsageError(f"HEXWR_THREADS={raw!r} is not an integer")
-    return max(1, os.cpu_count() or 1)
+        workers = min(workers, max(1, threads))
+    return workers
 
 
 def cmd_oracle(args) -> int:
     jmax = args.jmax
-    workers = min(_oracle_workers(), jmax)
+    workers = _oracle_workers(jmax)
     indices = range(1, jmax + 1)
     if workers == 1:
         results = [_oracle_check(J) for J in indices]
@@ -281,16 +284,10 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_classes(args) -> int:
-    found = []
-    for n in range(1, math.isqrt(args.cmax) + 1):
-        for m in range(n, 2 * n + 1):
-            try:
-                params = ClassParams(m, n)
-            except ValueError:
-                continue
-            if params.class_minimum <= args.cmax:
-                found.append(params)
-    found.sort(key=lambda p: (p.class_minimum, p.m))
+    found = sorted(
+        (ClassParams(m, n) for m, n in admissible_params(args.cmax)),
+        key=lambda p: (p.class_minimum, p.m),
+    )
     header = ["m", "n", "class_minimum", "minimal_index", "cos"]
     rows = [
         [str(p.m), str(p.n), str(p.class_minimum), str(p.minimal_index),

@@ -16,7 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NotRepresentableError
+from .arith import factorize
+from .errors import InvariantViolation, NotRepresentableError
 
 __all__ = [
     "ConicSpec",
@@ -125,7 +126,7 @@ def parameterize(spec: ConicSpec, m: int, n: int) -> ProjectiveTriple:
     y = al * m * (b * m - 2 * a * n) - (ga * b + be * a) * n * n
     z = c * denom
     if spec.evaluate(x, y) != spec.delta * z * z:
-        raise AssertionError(f"parameterization produced a non-solution for {(m, n)}")
+        raise InvariantViolation(f"parameterization produced a non-solution for {(m, n)}")
     return ProjectiveTriple.from_raw(x, y, z)
 
 
@@ -147,7 +148,7 @@ def solve_angle_form(m: int, n: int) -> ProjectiveTriple:
     t = parameterize(ANGLE_FORM, m, n)
     p, r, q = t.as_tuple()
     if not (q > 0 and 0 < 2 * p <= q):
-        raise AssertionError(f"angle solution {t} fell outside (0, 1/2] cosine range")
+        raise InvariantViolation(f"angle solution {t} fell outside (0, 1/2] cosine range")
     return t
 
 
@@ -166,34 +167,20 @@ def solve_norm_form(m: int, n: int) -> tuple[int, int, int]:
     a = m * (2 * n - m)
     b = n * (2 * m - n)
     c = m * m - m * n + n * n
-    assert a * a - a * b + b * b == c * c
+    if a * a - a * b + b * b != c * c:
+        raise InvariantViolation(f"norm form triple {(a, b, c)} for {(m, n)} is not a solution")
     return (a, b, c)
 
 
 def _validate_scale(d: int) -> list[int]:
     """Check d is 1 or a squarefree product of primes = 1 (mod 3); return its primes."""
-    if d < 1:
-        raise ValueError("scale must be a positive integer")
-    primes = []
-    rest = d
-    p = 2
-    while p * p <= rest:
-        if rest % p == 0:
-            e = 0
-            while rest % p == 0:
-                rest //= p
-                e += 1
-            if e > 1:
-                raise NotRepresentableError(f"{d} has squared factor {p}^{e}")
-            if p % 3 != 1:
-                raise NotRepresentableError(f"{d} has prime factor {p} != 1 (mod 3)")
-            primes.append(p)
-        p += 1 if p == 2 else 2
-    if rest > 1:
-        if rest % 3 != 1:
-            raise NotRepresentableError(f"{d} has prime factor {rest} != 1 (mod 3)")
-        primes.append(rest)
-    return primes
+    fac = factorize(d)
+    for p, e in fac.items():
+        if e > 1:
+            raise NotRepresentableError(f"{d} has squared factor {p}^{e}")
+        if p % 3 != 1:
+            raise NotRepresentableError(f"{d} has prime factor {p} != 1 (mod 3)")
+    return list(fac)
 
 
 def _seed_for_scale(d: int) -> tuple[int, int, int]:
@@ -206,7 +193,7 @@ def _seed_for_scale(d: int) -> tuple[int, int, int]:
             y = math.isqrt(rem // 3)
             if 3 * y * y == rem:
                 return (x, y, 1)
-    raise AssertionError(f"no representation of admissible scale {d} found")
+    raise InvariantViolation(f"no representation of admissible scale {d} found")
 
 
 def scaled_angle_solutions(d: int, q_max: int) -> list[ProjectiveTriple]:
@@ -258,7 +245,7 @@ def count_representations(d: int) -> int:
             count += 1 if y == 0 else 2
     expected = 2 ** (len(primes) + 1)
     if count != expected:
-        raise AssertionError(
+        raise InvariantViolation(
             f"representation count of {d} is {count}, closed form predicts {expected}"
         )
     return count

@@ -11,10 +11,12 @@ form.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, NamedTuple, Optional
 
+from .arith import divisors, factorize, multiplicities, norm_split
 from .errors import InvariantViolation
 from .lattice import (
     ClassParams,
@@ -23,6 +25,7 @@ from .lattice import (
     gamma_theta,
     successive_minima,
 )
+from .triples import is_admissible
 
 __all__ = [
     "IndexRepresentation",
@@ -37,68 +40,9 @@ __all__ = [
 ]
 
 
-def _divisors(n: int) -> list[int]:
-    small, large = [], []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            small.append(i)
-            if i != n // i:
-                large.append(n // i)
-        i += 1
-    return small + large[::-1]
-
-
 def decompose_k(k: int) -> Optional[tuple[int, int, int]]:
-    """Split a scale factor as k = 3^u * j^2 * d, or None if impossible.
-
-    u is the parity of the 3-adic valuation, j^2 absorbs every even prime
-    power (surplus threes included), and d collects the primes congruent
-    to 1 mod 3 that occur to odd multiplicity.  A prime congruent to 2
-    mod 3 with odd multiplicity admits no such splitting.
-    """
-    if k < 1:
-        raise ValueError("scale factor must be positive")
-    e3 = 0
-    while k % 3 == 0:
-        k //= 3
-        e3 += 1
-    u = e3 & 1
-    j = 3 ** ((e3 - u) // 2)
-    d = 1
-    p = 2
-    while p * p <= k:
-        if k % p == 0:
-            mult = 0
-            while k % p == 0:
-                k //= p
-                mult += 1
-            j *= p ** (mult // 2)
-            if mult % 2:
-                if p % 3 != 1:
-                    return None
-                d *= p
-        p += 1 if p == 2 else 2
-    if k > 1:  # one leftover prime, multiplicity 1
-        if k % 3 != 1:
-            return None
-        d *= k
-    return (u, j, d)
-
-
-def _check_d(d: int) -> None:
-    if d < 1:
-        raise ValueError("d must be positive")
-    rest = d
-    p = 2
-    while p * p <= rest:
-        if rest % p == 0:
-            rest //= p
-            if rest % p == 0 or p % 3 != 1:
-                raise ValueError(f"d={d} is not a squarefree product of primes = 1 mod 3")
-        p += 1 if p == 2 else 2
-    if rest > 1 and rest % 3 != 1:
-        raise ValueError(f"d={d} is not a squarefree product of primes = 1 mod 3")
+    """Split a scale factor as k = 3^u * j^2 * d (see arith.norm_split), or None if impossible."""
+    return norm_split(factorize(k))
 
 
 @dataclass(frozen=True)
@@ -115,7 +59,8 @@ class IndexRepresentation:
             raise ValueError("u must be 0 or 1")
         if self.j < 1:
             raise ValueError("j must be positive")
-        _check_d(self.d)
+        if norm_split(factorize(self.d)) != (0, 1, self.d):
+            raise ValueError(f"d={self.d} is not a squarefree product of primes = 1 mod 3")
 
     @property
     def k(self) -> int:
@@ -178,23 +123,26 @@ def list_representations(J: int) -> list[IndexRepresentation]:
 
     Runs over divisors D of J that can equal n(2m - n) for admissible
     (m, n), keeping those whose cofactor J/D splits as a valid scale.
+    J is factored once; each cofactor's exponents and each D's divisors
+    are read off J's primes and divisors.
     """
-    if J < 1:
-        raise ValueError("index must be positive")
+    fac = factorize(J)
+    divs = divisors(fac)
     reps = []
-    for dv in _divisors(J):
-        comp = decompose_k(J // dv)
+    for dv in divs:
+        comp = norm_split(multiplicities(J // dv, fac))
         if comp is None:
             continue
         u, j, d = comp
-        for n in _divisors(dv):
-            w = dv // n  # candidate value of 2m - n
-            if w < n or w > 3 * n or (w + n) % 2:
-                continue
+        # dv = n(2m - n) with n <= m <= 2n puts n between sqrt(dv/3) and sqrt(dv)
+        for i in range(bisect_left(divs, math.isqrt(dv // 3)), len(divs)):
+            n = divs[i]
+            if n * n > dv:
+                break
+            w, r = divmod(dv, n)  # w: candidate value of 2m - n
             m = (w + n) // 2
-            if math.gcd(m, n) != 1 or (m + n) % 3 == 0:
-                continue
-            reps.append(IndexRepresentation(u=u, j=j, d=d, params=ClassParams(m, n)))
+            if r == 0 and (w + n) % 2 == 0 and is_admissible(m, n):
+                reps.append(IndexRepresentation(u=u, j=j, d=d, params=ClassParams(m, n)))
     return reps
 
 
@@ -214,9 +162,7 @@ def hnf_sublattices(J: int) -> Iterator[HexSublattice]:
     Upper-triangular Hermite form with 0 <= B < A makes the enumeration
     canonical; there are sigma(J) of them in total.
     """
-    if J < 1:
-        raise ValueError("index must be positive")
-    for A in _divisors(J):
+    for A in divisors(factorize(J)):
         D = J // A
         for B in range(A):
             yield HexSublattice(A, 0, B, D)

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .conic import ProjectiveTriple
 from .errors import InvariantViolation
-from .triples import pair_of_angle_point, params_from_triple
+from .triples import _check_admissible, pair_of_angle_point, params_from_triple
 
 __all__ = [
     "HexSublattice",
@@ -194,14 +194,7 @@ class ClassParams:
     n: int
 
     def __post_init__(self) -> None:
-        if self.m < 1 or self.n < 1:
-            raise ValueError("parameters must be positive")
-        if math.gcd(self.m, self.n) != 1:
-            raise ValueError(f"parameters {(self.m, self.n)} are not coprime")
-        if not (self.n <= self.m <= 2 * self.n):
-            raise ValueError(f"need 1 <= m/n <= 2, got {(self.m, self.n)}")
-        if (self.m + self.n) % 3 == 0:
-            raise ValueError(f"3 divides m + n for {(self.m, self.n)}")
+        _check_admissible(self.m, self.n)
 
     @property
     def class_minimum(self) -> int:

@@ -16,6 +16,7 @@ from typing import Optional
 
 import mpmath as mp
 
+from .arith import factorize, norm_split
 from .enumeration import list_representations, wr_survey
 from .errors import InvariantViolation
 from .lattice import ClassParams, HexSublattice, lagrange_reduce
@@ -35,28 +36,13 @@ __all__ = [
 ]
 
 
-def _factorize(n: int) -> dict[int, int]:
-    fac: dict[int, int] = {}
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            fac[p] = fac.get(p, 0) + 1
-            n //= p
-        p += 1 if p == 2 else 2
-    if n > 1:
-        fac[n] = fac.get(n, 0) + 1
-    return fac
-
-
 def is_loeschian(M: int) -> bool:
     """True when M = x^2 - xy + y^2 has an integer solution.
 
     Classical criterion: every prime congruent to 2 mod 3 must occur to an
     even power.
     """
-    if M < 1:
-        raise ValueError("argument must be positive")
-    return all(e % 2 == 0 for p, e in _factorize(M).items() if p % 3 == 2)
+    return norm_split(factorize(M)) is not None
 
 
 def eliminate_test(J: int) -> bool:
@@ -68,11 +54,9 @@ def eliminate_test(J: int) -> bool:
     two odd primes p < q with q > 3p; True guarantees no index-J
     well-rounded sublattice exists.
     """
-    if J < 1:
-        raise ValueError("index must be positive")
-    if is_loeschian(J):
+    fac = factorize(J)
+    if norm_split(fac) is not None:
         return False
-    fac = _factorize(J)
     if len(fac) == 1 and sum(fac.values()) == 1:
         return True
     if len(fac) == 2 and all(e == 1 for e in fac.values()):

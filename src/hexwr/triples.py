@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .conic import ProjectiveTriple, solve_norm_form
 from .errors import InvariantViolation
@@ -27,12 +28,13 @@ __all__ = [
     "generator_matrix",
     "classify_gcd",
     "associate",
+    "is_admissible",
+    "admissible_params",
     "primitive_pair_from_params",
     "params_from_triple",
     "angle_point_of_pair",
     "pair_of_angle_point",
     "apply_generator",
-    "apply_word",
     "descend",
     "PairTree",
     "generate_tree",
@@ -154,15 +156,25 @@ def primitive_pair_from_params(m: int, n: int) -> AssociatedPair:
     return AssociatedPair.from_member(EisensteinTriple(a, b, c))
 
 
+def is_admissible(m: int, n: int) -> bool:
+    """True for class parameters: m, n > 0 coprime, n <= m <= 2n, 3 not dividing m + n."""
+    return 1 <= n <= m <= 2 * n and math.gcd(m, n) == 1 and (m + n) % 3 != 0
+
+
 def _check_admissible(m: int, n: int) -> None:
-    if m < 1 or n < 1:
-        raise ValueError("parameters must be positive")
-    if math.gcd(m, n) != 1:
-        raise ValueError(f"parameters {(m, n)} are not coprime")
-    if not (n <= m <= 2 * n):
-        raise ValueError(f"need 1 <= m/n <= 2, got {(m, n)}")
-    if (m + n) % 3 == 0:
-        raise ValueError(f"3 divides m + n for {(m, n)}")
+    if not is_admissible(m, n):
+        raise ValueError(
+            f"parameters {(m, n)} are not admissible: need coprime 0 < n <= m <= 2n "
+            "with 3 not dividing m + n"
+        )
+
+
+def admissible_params(c_max: int) -> Iterator[tuple[int, int]]:
+    """Every admissible (m, n) with m^2 - mn + n^2 <= c_max, by increasing n then m."""
+    for n in range(1, math.isqrt(c_max) + 1):
+        for m in range(n, 2 * n + 1):
+            if m * m - m * n + n * n <= c_max and is_admissible(m, n):
+                yield (m, n)
 
 
 def _params_of_member(t: EisensteinTriple) -> tuple[int, int] | None:
@@ -177,9 +189,7 @@ def _params_of_member(t: EisensteinTriple) -> tuple[int, int] | None:
     if (t.b + t.c) % s or (t.a + t.c) % s:
         return None
     m, n = (t.b + t.c) // s, (t.a + t.c) // s
-    try:
-        _check_admissible(m, n)
-    except ValueError:
+    if not is_admissible(m, n):
         return None
     if solve_norm_form(m, n) != t.as_tuple():
         return None
@@ -269,7 +279,7 @@ def _det(x: Matrix) -> int:
 def _inverse(x: Matrix) -> Matrix:
     d = _det(x)
     if abs(d) != 1:
-        raise AssertionError("generator is not unimodular")
+        raise InvariantViolation(f"generator {x} is not unimodular")
     # cyclic-index cofactors carry the checkerboard sign already
     cof = tuple(
         tuple(
@@ -298,11 +308,13 @@ _IDENTITY: Matrix = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 # startup sanity: the derived generators really are the stated products,
 # U is an involution, and every inverse is exact.
-assert _GENERATORS["M4"] == ((-3, -1, 4), (-7, 0, 8), (-6, 0, 7))
-assert _GENERATORS["M5"] == ((4, -1, 4), (7, 0, 8), (6, 0, 7))
-assert _matmul(_U, _U) == _IDENTITY
-for _k, _v in _GENERATORS.items():
-    assert _matmul(_v, _INVERSES[_k]) == _IDENTITY, _k
+if (
+    _GENERATORS["M4"] != ((-3, -1, 4), (-7, 0, 8), (-6, 0, 7))
+    or _GENERATORS["M5"] != ((4, -1, 4), (7, 0, 8), (6, 0, 7))
+    or _matmul(_U, _U) != _IDENTITY
+    or any(_matmul(v, _INVERSES[k]) != _IDENTITY for k, v in _GENERATORS.items())
+):
+    raise InvariantViolation("the generator table contradicts its stated products or inverses")
 
 #: tree generator labels, in the order children are expanded
 GENERATOR_LABELS: tuple[str, ...] = ("M1", "M2", "M3", "M4", "M5")
@@ -357,10 +369,6 @@ def apply_generator(label: str, t: EisensteinTriple) -> EisensteinTriple:
     if t.is_primitive and not out.is_primitive:
         raise InvariantViolation(f"{label} maps primitive {t} to imprimitive {out}")
     return out
-
-
-def apply_word(word: MonoidWord, t: EisensteinTriple) -> EisensteinTriple:
-    return word.apply(t)
 
 
 def _descent_label(t: EisensteinTriple) -> str:
@@ -521,13 +529,6 @@ def all_pairs_up_to(c_max: int) -> list[AssociatedPair]:
     """
     if c_max < 1:
         raise ValueError("c_max must be at least 1")
-    pairs = []
-    for n in range(1, math.isqrt(c_max) + 1):
-        for m in range(n, 2 * n + 1):
-            if m * m - m * n + n * n > c_max:
-                continue
-            if math.gcd(m, n) != 1 or (m + n) % 3 == 0:
-                continue
-            pairs.append(primitive_pair_from_params(m, n))
+    pairs = [primitive_pair_from_params(m, n) for m, n in admissible_params(c_max)]
     pairs.sort(key=lambda p: (p.c, p.upper.a, p.upper.b))
     return pairs

@@ -213,6 +213,19 @@ class TestOracle:
         assert code == 2
         assert "J=5" in out and "DISAGREE" in out
 
+    def test_workers_clamped_to_cpus(self, monkeypatch):
+        # computes the worker count only; no pool is started
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        monkeypatch.setenv("HEXWR_THREADS", "5000")
+        assert cli._oracle_workers(5000) == 2
+        assert cli._oracle_workers(1) == 1
+        monkeypatch.setenv("HEXWR_THREADS", "1")
+        assert cli._oracle_workers(5000) == 1
+        monkeypatch.delenv("HEXWR_THREADS")
+        assert cli._oracle_workers(5000) == 2
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+        assert cli._oracle_workers(5000) == 1
+
     def test_bad_thread_setting(self, capsys, monkeypatch):
         monkeypatch.setenv("HEXWR_THREADS", "soon")
         code, _, err = run_cli(capsys, "oracle", "5")

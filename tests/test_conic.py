@@ -1,11 +1,16 @@
 """Tests for the conic parameterization layer."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hexwr import conic
 from hexwr.conic import (
     ANGLE_FORM,
     NORM_FORM,
@@ -17,7 +22,8 @@ from hexwr.conic import (
     solve_angle_form,
     solve_norm_form,
 )
-from hexwr.errors import NotRepresentableError
+from hexwr.errors import InvariantViolation, NotRepresentableError
+from hexwr.triples import _inverse
 
 
 def brute_force_solutions(spec, z_bound):
@@ -266,3 +272,51 @@ class TestCountRepresentations:
             except NotRepresentableError:
                 pass
         assert 7 in admissible and 91 in admissible and 5 not in admissible
+
+
+class TestInvariantViolations:
+    """Broken invariants raise InvariantViolation, never a bare assert."""
+
+    def test_parameterize_non_solution(self, monkeypatch):
+        monkeypatch.setattr(ConicSpec, "evaluate", lambda self, x, y: -1)
+        with pytest.raises(InvariantViolation):
+            parameterize(ANGLE_FORM, 2, 1)
+
+    def test_angle_solution_out_of_range(self, monkeypatch):
+        monkeypatch.setattr(conic, "parameterize", lambda spec, m, n: ProjectiveTriple(1, 0, 1))
+        with pytest.raises(InvariantViolation):
+            solve_angle_form(2, 1)
+
+    def test_seed_for_inadmissible_scale(self):
+        with pytest.raises(InvariantViolation):
+            conic._seed_for_scale(5)
+
+    def test_count_contradicts_closed_form(self, monkeypatch):
+        monkeypatch.setattr(conic, "_validate_scale", lambda d: [7, 13])
+        with pytest.raises(InvariantViolation):
+            count_representations(7)
+
+    def test_singular_generator(self):
+        with pytest.raises(InvariantViolation):
+            _inverse(((1, 0, 0), (0, 1, 0), (0, 0, 0)))
+
+    def test_checks_survive_python_O(self):
+        script = (
+            "from hexwr import conic, triples\n"  # triples runs its startup checks on import
+            "from hexwr.errors import InvariantViolation\n"
+            "conic.ConicSpec.evaluate = lambda self, x, y: -1\n"
+            "try:\n"
+            "    conic.parameterize(conic.ANGLE_FORM, 2, 1)\n"
+            "except InvariantViolation:\n"
+            "    print('raised', __debug__)\n"
+        )
+        src = Path(conic.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "raised False"

@@ -432,7 +432,8 @@ class TestTree:
 
 class TestAllPairs:
     def test_counts_match_brute_force(self):
-        for bound in (10, 100, 400):
+        # 7 and 91 are values of c, so the bound itself must be included
+        for bound in (7, 10, 91, 100, 400):
             direct = {
                 AssociatedPair.from_member(t) for t in brute_force_triples(bound)
             }
