@@ -5,13 +5,12 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from fractions import Fraction
 
-from .arith import factorize
-from .enumeration import count_N, index_set_member, list_representations, wr_survey
+from .enumeration import IndexRepresentation, index_set_member, list_representations, wr_survey
 from .errors import InvariantViolation
 from .lattice import ClassParams
 from .optimizer import max_min, rank_by_snr
@@ -71,17 +70,19 @@ def _print_json(obj) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
 
 
-def _witness_name(params: ClassParams, k: int) -> str:
-    """Human name of the scaled minimal lattice, e.g. 2*sqrt(21)*Gamma_theta(1,1)."""
-    fac = factorize(k)
-    f = math.prod(p ** (e // 2) for p, e in fac.items())
-    squarefree = math.prod(p for p, e in fac.items() if e % 2)
+def _witness_name(rep: IndexRepresentation) -> str:
+    """Human name of the scaled minimal lattice, e.g. 2*sqrt(21)*Gamma_theta(1,1).
+
+    The scale k = 3^u * j^2 * d has d squarefree and prime to 3, so its
+    square factor is j and its squarefree part is 3^u * d.
+    """
+    squarefree = 3**rep.u * rep.d
     parts = []
-    if f > 1:
-        parts.append(str(f))
+    if rep.j > 1:
+        parts.append(str(rep.j))
     if squarefree > 1:
         parts.append(f"sqrt({squarefree})")
-    parts.append(f"Gamma_theta({params.m},{params.n})")
+    parts.append(f"Gamma_theta({rep.params.m},{rep.params.n})")
     return "*".join(parts)
 
 
@@ -113,8 +114,7 @@ def cmd_count(args) -> int:
 
 def _maxmin_row(J: int):
     res = max_min(J)
-    names = "; ".join(_witness_name(p, k) for p, k in res.witnesses)
-    return res, names
+    return res, [_witness_name(w) for w in res.witnesses]
 
 
 def cmd_maxmin(args) -> int:
@@ -126,8 +126,9 @@ def cmd_maxmin(args) -> int:
         json_rows = []
         for J in TABLE1_INDICES:
             res, names = _maxmin_row(J)
-            rows.append([str(J), str(res.best_minimum), names])
-            json_rows.append({"J": J, "lattice": names, "max_minimum": res.best_minimum})
+            lattice = "; ".join(names)
+            rows.append([str(J), str(res.best_minimum), lattice])
+            json_rows.append({"J": J, "lattice": lattice, "max_minimum": res.best_minimum})
         if args.format == "json":
             _print_json({"rows": json_rows})
         elif args.format == "csv":
@@ -143,19 +144,19 @@ def cmd_maxmin(args) -> int:
                 "exists": res.exists,
                 "max_minimum": res.best_minimum,
                 "witnesses": [
-                    {"k": k, "lattice": _witness_name(p, k), "m": p.m, "n": p.n}
-                    for p, k in res.witnesses
+                    {"k": w.k, "lattice": name, "m": w.params.m, "n": w.params.n}
+                    for w, name in zip(res.witnesses, names)
                 ],
             }
         )
     elif args.format == "csv":
         _print_csv(
             ["J", "max_minimum", "lattice"],
-            [[str(args.J), str(res.best_minimum) if res.exists else "", names]],
+            [[str(args.J), str(res.best_minimum) if res.exists else "", "; ".join(names)]],
         )
     elif res.exists:
         print(f"max minimum of index-{args.J} well-rounded sublattices: {res.best_minimum}")
-        print(f"attained by {names}")
+        print(f"attained by {'; '.join(names)}")
     else:
         print(f"no well-rounded sublattice of index {args.J}")
     return 0
@@ -218,10 +219,13 @@ def cmd_tree(args) -> int:
     return 0
 
 
-def _oracle_check(J: int) -> tuple[int, int, int, int | None, int | None]:
-    survey = wr_survey(J)
-    best = max_min(J).best_minimum
-    return (J, len(survey), count_N(J), survey[0].minimum if survey else None, best)
+def _oracle_check(J: int) -> tuple[int, int, int, int | None, int | None, bool]:
+    """Class counts and maxima of survey and parameterization at J, and whether
+    their maps from class cosine to minimum are equal."""
+    enumerated = {Fraction(rec.cos_num, rec.cos_den): rec.minimum for rec in wr_survey(J)}
+    parameterized = {rep.params.cosine: rep.minimum for rep in list_representations(J)}
+    return (J, len(enumerated), len(parameterized), max(enumerated.values(), default=None),
+            max(parameterized.values(), default=None), enumerated == parameterized)
 
 
 def _oracle_workers(jmax: int) -> int:
@@ -248,7 +252,7 @@ def cmd_oracle(args) -> int:
             chunk = max(1, jmax // (4 * workers))
             results = list(pool.map(_oracle_check, indices, chunksize=chunk))
     results.sort(key=lambda r: r[0])
-    bad = [r for r in results if r[1] != r[2] or r[3] != r[4]]
+    bad = [r for r in results if not r[5]]
     if args.format == "json":
         _print_json(
             {
@@ -262,7 +266,7 @@ def cmd_oracle(args) -> int:
                         "parameterized_classes": pc,
                         "parameterized_max": pm,
                     }
-                    for J, ec, pc, em, pm in bad
+                    for J, ec, pc, em, pm, _ in bad
                 ],
                 "j_max": jmax,
             }
@@ -272,10 +276,10 @@ def cmd_oracle(args) -> int:
             ["J", "enumerated_classes", "parameterized_classes",
              "enumerated_max", "parameterized_max"],
             [[str(J), str(ec), str(pc), "" if em is None else str(em),
-              "" if pm is None else str(pm)] for J, ec, pc, em, pm in results],
+              "" if pm is None else str(pm)] for J, ec, pc, em, pm, _ in results],
         )
     elif bad:
-        for J, ec, pc, em, pm in bad:
+        for J, ec, pc, em, pm, _ in bad:
             print(f"J={J}: classes {ec} vs {pc}, max minimum {em} vs {pm}")
         print(f"DISAGREE: {len(bad)}/{len(results)} indices differ")
     else:

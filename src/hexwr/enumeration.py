@@ -178,7 +178,7 @@ class WrClassRecord(NamedTuple):
     witness: HexSublattice
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)  # bounded: only the oracle and the tests read it
 def wr_survey(J: int) -> tuple[WrClassRecord, ...]:
     """Brute-force scan of index J, grouped by angle, best minimum first.
 

@@ -17,7 +17,7 @@ from typing import Optional
 import mpmath as mp
 
 from .arith import factorize, norm_split
-from .enumeration import list_representations, wr_survey
+from .enumeration import IndexRepresentation, list_representations
 from .errors import InvariantViolation
 from .lattice import ClassParams, HexSublattice, lagrange_reduce
 
@@ -72,7 +72,7 @@ class MaxMinResult:
 
     J: int
     best_minimum: Optional[int]
-    witnesses: list[tuple[ClassParams, int]]
+    witnesses: list[IndexRepresentation]
     exists: bool
 
 
@@ -80,15 +80,14 @@ def max_min(J: int) -> MaxMinResult:
     """Largest minimum among well-rounded sublattices of index J.
 
     Scans the representations of J; each contributes minimum k * (class
-    minimum) = J * (m^2 - mn + n^2) / (n(2m - n)), always an integer.  All
-    witnesses attaining the maximum are returned as (params, k) pairs.
+    minimum) = J * (m^2 - mn + n^2) / (n(2m - n)), always an integer.  The
+    witnesses are the representations attaining the maximum, in list order;
+    each carries its class and its scale split k = 3^u * j^2 * d.
     """
     reps = list_representations(J)
-    if not reps:
-        return MaxMinResult(J=J, best_minimum=None, witnesses=[], exists=False)
-    best = max(r.minimum for r in reps)
-    witnesses = [(r.params, r.k) for r in reps if r.minimum == best]
-    return MaxMinResult(J=J, best_minimum=best, witnesses=witnesses, exists=True)
+    best = max((r.minimum for r in reps), default=None)
+    witnesses = [r for r in reps if r.minimum == best]
+    return MaxMinResult(J=J, best_minimum=best, witnesses=witnesses, exists=bool(reps))
 
 
 def cos_from_index_min(J: int, M: int) -> Optional[Fraction]:
@@ -278,23 +277,18 @@ def snr(L: HexSublattice, rel_tol: float = 1e-9) -> SnrValue:
 def rank_by_snr(
     J: int, rel_tol: float = 1e-9
 ) -> list[tuple[ClassParams, int, SnrValue]]:
-    """All index-J classes with concrete members, best SNR first.
+    """All index-J classes with their minima, best SNR first.
 
-    Each representation is matched to a surveyed sublattice with the same
-    angle and scored.  The resulting order must coincide with ranking by
-    minimum, with SNR gaps exceeding the error bounds; a violation of
-    either is raised rather than returned.
+    Each class is scored on its own member, rep.to_sublattice(): at a
+    fixed index similar sublattices are isometric, so the zeta value does
+    not depend on which member is taken.  The resulting order must
+    coincide with ranking by minimum, with SNR gaps exceeding the error
+    bounds; a violation of either is raised rather than returned.
     """
-    survey = wr_survey(J)
-    by_cos = {Fraction(rec.cos_num, rec.cos_den): rec for rec in survey}
-    entries = []
-    for rep in list_representations(J):
-        rec = by_cos.get(rep.params.cosine)
-        if rec is None:
-            raise InvariantViolation(
-                f"no index-{J} sublattice found with the angle of {rep.params}"
-            )
-        entries.append((rep.params, rec.minimum, snr(rec.witness, rel_tol)))
+    entries = [
+        (rep.params, rep.minimum, snr(rep.to_sublattice(), rel_tol))
+        for rep in list_representations(J)
+    ]
     entries.sort(key=lambda e: -e[2].db)
     for (_, m1, s1), (_, m2, s2) in zip(entries, entries[1:]):
         if m1 <= m2:

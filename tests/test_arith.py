@@ -5,9 +5,9 @@ import random
 
 import sympy
 
-from hexwr.arith import divisors, factorize, multiplicities
+from hexwr.arith import divisors, factorize, multiplicities, norm_split
 from hexwr.cli import _witness_name
-from hexwr.enumeration import list_representations
+from hexwr.enumeration import IndexRepresentation, list_representations
 from hexwr.lattice import ClassParams
 
 
@@ -111,17 +111,23 @@ class TestListRepresentationsTail:
             assert got == _reference_representations(J), J
 
 
+def _named(params, k):
+    """Witness name of the representation of class params scaled by k."""
+    u, j, d = norm_split(factorize(k))
+    return _witness_name(IndexRepresentation(u=u, j=j, d=d, params=params))
+
+
 class TestWitnessName:
     def test_prime_scale(self):
         k = _next_prime(10**12, 1)
-        assert _witness_name(ClassParams(1, 1), k) == f"sqrt({k})*Gamma_theta(1,1)"
+        assert _named(ClassParams(1, 1), k) == f"sqrt({k})*Gamma_theta(1,1)"
 
     def test_four_times_prime(self):
         p = _next_prime(10**12, 1)
-        assert _witness_name(ClassParams(3, 2), 4 * p) == f"2*sqrt({p})*Gamma_theta(3,2)"
+        assert _named(ClassParams(3, 2), 4 * p) == f"2*sqrt({p})*Gamma_theta(3,2)"
 
     def test_square_times_squarefree(self):
         j, d = 3 * 5 * 11, 7 * 13
-        assert _witness_name(ClassParams(5, 3), j * j * d) == "165*sqrt(91)*Gamma_theta(5,3)"
-        assert _witness_name(ClassParams(5, 3), j * j) == "165*Gamma_theta(5,3)"
-        assert _witness_name(ClassParams(5, 3), 1) == "Gamma_theta(5,3)"
+        assert _named(ClassParams(5, 3), j * j * d) == "165*sqrt(91)*Gamma_theta(5,3)"
+        assert _named(ClassParams(5, 3), j * j) == "165*Gamma_theta(5,3)"
+        assert _named(ClassParams(5, 3), 1) == "Gamma_theta(5,3)"

@@ -5,10 +5,12 @@ import io
 import json
 import subprocess
 import sys
+from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
-from hexwr import cli
+from hexwr import cli, enumeration
 from hexwr.enumeration import index_set_member, list_representations
 from hexwr.errors import InvariantViolation
 from hexwr.optimizer import rank_by_snr
@@ -207,11 +209,38 @@ class TestOracle:
 
     def test_disagreement_is_fatal(self, capsys, monkeypatch):
         monkeypatch.setenv("HEXWR_THREADS", "1")
-        real = cli.count_N
-        monkeypatch.setattr(cli, "count_N", lambda J: real(J) + (J == 5))
+        real = cli.list_representations
+        # one extra class at index 5, which has none
+        monkeypatch.setattr(
+            cli, "list_representations", lambda J: real(J) + (real(1) if J == 5 else [])
+        )
         code, out, _ = run_cli(capsys, "oracle", "10")
         assert code == 2
         assert "J=5" in out and "DISAGREE" in out
+
+    def test_angle_disagreement_is_fatal(self, capsys, monkeypatch):
+        # index 84 has two classes; moving the angle of the smaller one keeps
+        # both the class count and the maximal minimum
+        monkeypatch.setenv("HEXWR_THREADS", "1")
+        real = cli.list_representations
+
+        def moved(J):
+            reps = real(J)
+            if J != 84:
+                return reps
+            last = reps[-1]
+            assert len(reps) == 2 and last.minimum < reps[0].minimum
+            fake = SimpleNamespace(
+                params=SimpleNamespace(cosine=last.params.cosine + Fraction(1, 1000)),
+                minimum=last.minimum,
+            )
+            return reps[:-1] + [fake]
+
+        monkeypatch.setattr(cli, "list_representations", moved)
+        code, out, _ = run_cli(capsys, "oracle", "84")
+        assert code == 2
+        assert "J=84: classes 2 vs 2, max minimum 84 vs 84" in out
+        assert "DISAGREE: 1/84 indices differ" in out
 
     def test_workers_clamped_to_cpus(self, monkeypatch):
         # computes the worker count only; no pool is started
@@ -231,6 +260,29 @@ class TestOracle:
         code, _, err = run_cli(capsys, "oracle", "5")
         assert code == 1
         assert "HEXWR_THREADS" in err
+
+
+class TestServingPath:
+    COMMANDS = [
+        ["count", "84"],
+        ["maxmin", "45"],
+        ["snr", "84"],
+        ["classes", "--cmax", "50"],
+        ["tree", "--cmax", "50"],
+        ["index-set", "--jmax", "50"],
+    ]
+
+    def test_serving_commands_never_survey(self, capsys, monkeypatch):
+        want = [run_cli(capsys, *argv, "--format", "json") for argv in self.COMMANDS]
+        enumeration.wr_survey.cache_clear()
+
+        def refuse(J):
+            raise RuntimeError(f"brute-force scan of index {J} on a serving path")
+
+        monkeypatch.setattr(enumeration, "hnf_sublattices", refuse)
+        for argv, (code, out, _) in zip(self.COMMANDS, want):
+            assert code == 0, argv
+            assert run_cli(capsys, *argv, "--format", "json")[:2] == (0, out), argv
 
 
 class TestClassesAndIndexSet:

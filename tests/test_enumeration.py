@@ -230,6 +230,9 @@ class TestSurveyAgreement:
             assert mins == sorted(mins, reverse=True)
             assert len(set(mins)) == len(mins)
 
+    def test_cache_is_bounded(self):
+        assert wr_survey.cache_info().maxsize is not None
+
     def test_witness_classes(self):
         for rec in wr_survey(84):
             params = class_of(rec.witness)

@@ -97,10 +97,13 @@ class TestMaxMin:
             assert res.best_minimum == want
 
     def test_named_witnesses(self):
-        assert max_min(8).witnesses == [(ClassParams(3, 2), 1)]
-        assert max_min(65).witnesses == [(ClassParams(9, 5), 1)]
-        assert max_min(45).witnesses == [(ClassParams(4, 3), 3)]
-        assert max_min(21).witnesses == [(ClassParams(1, 1), 21)]
+        def named(J):
+            return [(w.params, w.k) for w in max_min(J).witnesses]
+
+        assert named(8) == [(ClassParams(3, 2), 1)]
+        assert named(65) == [(ClassParams(9, 5), 1)]
+        assert named(45) == [(ClassParams(4, 3), 3)]
+        assert named(21) == [(ClassParams(1, 1), 21)]
 
     def test_nonexistent(self):
         res = max_min(2)
@@ -110,7 +113,8 @@ class TestMaxMin:
     def test_witness_value_formula(self):
         for J in range(1, 200):
             res = max_min(J)
-            for params, k in res.witnesses:
+            for w in res.witnesses:
+                params, k = w.params, w.k
                 b = params.minimal_index
                 assert (J * params.class_minimum) % b == 0
                 assert res.best_minimum == J * params.class_minimum // b
@@ -123,7 +127,7 @@ class TestMaxMin:
             assert res.exists == bool(survey)
             if survey:
                 assert res.best_minimum == survey[0].minimum
-                cosines = {p.cosine for p, _ in res.witnesses}
+                cosines = {w.params.cosine for w in res.witnesses}
                 assert Fraction(survey[0].cos_num, survey[0].cos_den) in cosines
 
     def test_representable_index_favors_ideal_class(self):
@@ -132,7 +136,7 @@ class TestMaxMin:
                 continue
             res = max_min(J)
             assert res.best_minimum == J
-            assert ClassParams(1, 1) in {p for p, _ in res.witnesses}
+            assert ClassParams(1, 1) in {w.params for w in res.witnesses}
 
 
 class TestCosFromIndexMin:
@@ -262,6 +266,25 @@ class TestRankBySnr:
         only = rank_by_snr(1)
         assert len(only) == 1 and only[0][0] == ClassParams(1, 1) and only[0][1] == 1
         assert rank_by_snr(2) == []
+
+    def test_matches_scoring_the_survey_witnesses(self):
+        # the survey-based reference: score the surveyed sublattice whose
+        # angle matches each class; the class's own member gives the very
+        # same floats
+        checked = 0
+        for J in range(1, 201):
+            reps = list_representations(J)
+            if len(reps) < 2:
+                continue
+            by_cos = {Fraction(rec.cos_num, rec.cos_den): rec for rec in wr_survey(J)}
+            want = []
+            for rep in reps:
+                rec = by_cos[rep.params.cosine]
+                want.append((rep.params, rec.minimum, snr(rec.witness)))
+            want.sort(key=lambda e: -e[2].db)
+            assert rank_by_snr(J) == want, J
+            checked += 1
+        assert checked >= 10
 
     def test_order_matches_minima_with_resolved_gaps(self):
         for J in (84, 91, 105, 120):
