@@ -14,7 +14,7 @@ from .enumeration import IndexRepresentation, index_set_member, list_representat
 from .errors import InvariantViolation
 from .lattice import ClassParams
 from .optimizer import max_min, rank_by_snr
-from .triples import admissible_params, generate_tree
+from .triples import admissible_params, generate_tree, node_id
 
 # the eleven classical small indices replayed by `maxmin --table1`
 TABLE1_INDICES = (8, 15, 21, 24, 32, 35, 40, 45, 55, 60, 65)
@@ -198,34 +198,36 @@ def cmd_tree(args) -> int:
     if args.cmax is None and args.depth is None:
         raise _UsageError("give at least one of --cmax or --depth")
     tree = generate_tree(c_max=args.cmax, max_depth=args.depth)
-    ids = tree.node_ids()
-    edge_rows = [
-        [f"{e[0].upper.a},{e[0].upper.b},{e[0].upper.c}",
-         e[1],
-         f"{e[2].upper.a},{e[2].upper.b},{e[2].upper.c}"]
-        for e in tree.edges
-    ]
     if args.format == "dot":
         print(tree.to_dot())
     elif args.format == "json":
         _print_json(tree.to_json_obj())
-    elif args.format == "csv":
-        _print_csv(["from", "label", "to"], edge_rows)
     else:
-        print(f"nodes: {len(ids)}")
-        print(f"edges: {len(tree.edges)}")
-        for src, label, dst in edge_rows:
-            print(f"{src} -{label}-> {dst}")
+        edge_rows = [[node_id(p), label, node_id(q)] for p, label, q in tree.edges]
+        if args.format == "csv":
+            _print_csv(["from", "label", "to"], edge_rows)
+        else:
+            print(f"nodes: {len(tree.nodes)}")
+            print(f"edges: {len(tree.edges)}")
+            for src, label, dst in edge_rows:
+                print(f"{src} -{label}-> {dst}")
     return 0
 
 
-def _oracle_check(J: int) -> tuple[int, int, int, int | None, int | None, bool]:
-    """Class counts and maxima of survey and parameterization at J, and whether
-    their maps from class cosine to minimum are equal."""
+def _oracle_check(J: int) -> tuple[int, int, int, int | None, int | None, list, list]:
+    """Class counts and maxima of survey and parameterization at J, and the
+    (cosine, minimum) entries that only the survey or only the parameterization found."""
     enumerated = {Fraction(rec.cos_num, rec.cos_den): rec.minimum for rec in wr_survey(J)}
     parameterized = {rep.params.cosine: rep.minimum for rep in list_representations(J)}
     return (J, len(enumerated), len(parameterized), max(enumerated.values(), default=None),
-            max(parameterized.values(), default=None), enumerated == parameterized)
+            max(parameterized.values(), default=None),
+            sorted(enumerated.items() - parameterized.items()),
+            sorted(parameterized.items() - enumerated.items()))
+
+
+def _class_entry(entry: tuple[Fraction, int]) -> dict:
+    cos, minimum = entry
+    return {"cos_den": cos.denominator, "cos_num": cos.numerator, "minimum": minimum}
 
 
 def _oracle_workers(jmax: int) -> int:
@@ -252,7 +254,7 @@ def cmd_oracle(args) -> int:
             chunk = max(1, jmax // (4 * workers))
             results = list(pool.map(_oracle_check, indices, chunksize=chunk))
     results.sort(key=lambda r: r[0])
-    bad = [r for r in results if not r[5]]
+    bad = [r for r in results if r[5] or r[6]]
     if args.format == "json":
         _print_json(
             {
@@ -263,10 +265,12 @@ def cmd_oracle(args) -> int:
                         "J": J,
                         "enumerated_classes": ec,
                         "enumerated_max": em,
+                        "only_enumerated": [_class_entry(e) for e in oe],
+                        "only_parameterized": [_class_entry(e) for e in op],
                         "parameterized_classes": pc,
                         "parameterized_max": pm,
                     }
-                    for J, ec, pc, em, pm, _ in bad
+                    for J, ec, pc, em, pm, oe, op in bad
                 ],
                 "j_max": jmax,
             }
@@ -276,11 +280,14 @@ def cmd_oracle(args) -> int:
             ["J", "enumerated_classes", "parameterized_classes",
              "enumerated_max", "parameterized_max"],
             [[str(J), str(ec), str(pc), "" if em is None else str(em),
-              "" if pm is None else str(pm)] for J, ec, pc, em, pm, _ in results],
+              "" if pm is None else str(pm)] for J, ec, pc, em, pm, _, _ in results],
         )
     elif bad:
-        for J, ec, pc, em, pm, _ in bad:
+        for J, ec, pc, em, pm, oe, op in bad:
             print(f"J={J}: classes {ec} vs {pc}, max minimum {em} vs {pm}")
+            for side, entries in (("enumerated", oe), ("parameterized", op)):
+                for cos, minimum in entries:
+                    print(f"  only {side}: cos {cos}, minimum {minimum}")
         print(f"DISAGREE: {len(bad)}/{len(results)} indices differ")
     else:
         print(f"OK: {len(results)}/{len(results)} indices agree")

@@ -9,11 +9,15 @@ solution up to scaling.  Two instances drive everything else in the package:
   attainable by well-rounded sublattices of the hexagonal lattice, and
 * the norm form    a^2 - a b + b^2 = c^2   whose nonnegative solutions are
   the Eisenstein triples.
+
+The scaled angle form p^2 + 3 r^2 = d q^2 needs no seed: its solutions with
+bounded q are enumerated directly, by one scan over r for each q.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .arith import factorize
@@ -183,17 +187,15 @@ def _validate_scale(d: int) -> list[int]:
     return list(fac)
 
 
-def _seed_for_scale(d: int) -> tuple[int, int, int]:
-    """Small solution (x, y, 1) of x^2 + 3 y^2 = d, found by bounded search."""
-    if d == 1:
-        return (-1, 0, 1)
-    for x in range(math.isqrt(d) + 1):
-        rem = d - x * x
-        if rem % 3 == 0:
-            y = math.isqrt(rem // 3)
-            if 3 * y * y == rem:
-                return (x, y, 1)
-    raise InvariantViolation(f"no representation of admissible scale {d} found")
+def _primitive_solutions(d: int, q_max: int) -> Iterator[tuple[int, int, int]]:
+    """(p, r, q) with p, r >= 0, 1 <= q <= q_max, p^2 + 3 r^2 = d q^2 and gcd 1."""
+    for q in range(1, q_max + 1):
+        n = d * q * q
+        for r in range(math.isqrt(n // 3) + 1):
+            rem = n - 3 * r * r
+            p = math.isqrt(rem)
+            if p * p == rem and math.gcd(p, r, q) == 1:
+                yield (p, r, q)
 
 
 def scaled_angle_solutions(d: int, q_max: int) -> list[ProjectiveTriple]:
@@ -201,28 +203,13 @@ def scaled_angle_solutions(d: int, q_max: int) -> list[ProjectiveTriple]:
 
     d must be 1 or a squarefree product of primes congruent to 1 mod 3;
     anything else has an empty solution set and raises NotRepresentableError.
-    Solutions are generated through the line parameterization from a seed
-    with q = 1 and deduplicated projectively; the slope of the line joining
-    the seed to any target solution bounds the parameter search exactly.
+    For each q the scan runs over 0 <= r <= sqrt(d q^2 / 3) and keeps r when
+    d q^2 - 3 r^2 is a square p^2.  The result is sorted by (p, r, q).
     """
     if q_max < 1:
         raise ValueError("q_max must be at least 1")
     _validate_scale(d)
-    spec = ConicSpec(1, 0, 3, d, _seed_for_scale(d))
-    # A solution (p, r, q) with q <= q_max lies on a line of slope m/n where
-    # |m| <= |p| + |seed_x| q and |n| <= |r| + |seed_y| q, all at most
-    # 2 q_max sqrt(d) before reduction to lowest terms.
-    bound = 2 * q_max * (math.isqrt(d) + 1) + 1
-    found = {}
-    for m in range(bound + 1):
-        n_lo = 1 if m == 0 else -bound
-        for n in range(n_lo, bound + 1):
-            if (m, n) == (0, 0) or math.gcd(m, abs(n)) != 1:
-                continue
-            t = parameterize(spec, m, n)
-            if t.z <= q_max and t.x >= 0 and t.y >= 0 and t.z > 0:
-                found[t.as_tuple()] = t
-    return [found[k] for k in sorted(found)]
+    return [ProjectiveTriple(*t) for t in sorted(_primitive_solutions(d, q_max))]
 
 
 def count_representations(d: int) -> int:
@@ -230,19 +217,12 @@ def count_representations(d: int) -> int:
 
     For admissible d (1 or a squarefree product of primes = 1 mod 3) the count
     is 2^(omega(d) + 1), where omega is the number of distinct prime factors.
-    Counting is done by exhaustive scan; the closed form is asserted against
-    it so a disagreement cannot pass silently.
+    The pairs are the q = 1 solutions of the scaled angle form, all primitive,
+    with their signs restored; the closed form is checked against that count
+    so a disagreement cannot pass silently.
     """
     primes = _validate_scale(d)
-    count = 0
-    for x in range(-math.isqrt(d), math.isqrt(d) + 1):
-        rem = d - x * x
-        if rem < 0 or rem % 3 != 0:
-            continue
-        y2, rem3 = divmod(rem, 3)
-        y = math.isqrt(y2)
-        if y * y == y2:
-            count += 1 if y == 0 else 2
+    count = sum((2 if x else 1) * (2 if y else 1) for x, y, _ in _primitive_solutions(d, 1))
     expected = 2 ** (len(primes) + 1)
     if count != expected:
         raise InvariantViolation(

@@ -37,6 +37,7 @@ __all__ = [
     "apply_generator",
     "descend",
     "PairTree",
+    "node_id",
     "generate_tree",
     "all_pairs_up_to",
 ]
@@ -440,13 +441,13 @@ class PairTree:
     edges: list[tuple[AssociatedPair, str, AssociatedPair]] = field(default_factory=list)
 
     def node_ids(self) -> list[str]:
-        return [_node_id(p) for p in self.nodes]
+        return [node_id(p) for p in self.nodes]
 
     def to_json_obj(self) -> dict:
         obj = {
             "nodes": self.node_ids(),
             "edges": [
-                {"from": _node_id(p), "label": lab, "to": _node_id(q)}
+                {"from": node_id(p), "label": lab, "to": node_id(q)}
                 for p, lab, q in self.edges
             ],
         }
@@ -459,14 +460,14 @@ class PairTree:
     def to_dot(self) -> str:
         lines = ["digraph pairs {"]
         for p in self.nodes:
-            lines.append(f'  "{_node_id(p)}";')
+            lines.append(f'  "{node_id(p)}";')
         for p, lab, q in self.edges:
-            lines.append(f'  "{_node_id(p)}" -> "{_node_id(q)}" [label="{lab}"];')
+            lines.append(f'  "{node_id(p)}" -> "{node_id(q)}" [label="{lab}"];')
         lines.append("}")
         return "\n".join(lines)
 
 
-def _node_id(pair: AssociatedPair) -> str:
+def node_id(pair: AssociatedPair) -> str:
     u = pair.upper
     return f"{u.a},{u.b},{u.c}"
 

@@ -223,24 +223,36 @@ class TestOracle:
         # both the class count and the maximal minimum
         monkeypatch.setenv("HEXWR_THREADS", "1")
         real = cli.list_representations
+        last = real(84)[-1]
+        cos, fake_cos = last.params.cosine, last.params.cosine + Fraction(1, 1000)
 
         def moved(J):
             reps = real(J)
             if J != 84:
                 return reps
-            last = reps[-1]
             assert len(reps) == 2 and last.minimum < reps[0].minimum
-            fake = SimpleNamespace(
-                params=SimpleNamespace(cosine=last.params.cosine + Fraction(1, 1000)),
-                minimum=last.minimum,
-            )
+            fake = SimpleNamespace(params=SimpleNamespace(cosine=fake_cos), minimum=last.minimum)
             return reps[:-1] + [fake]
 
         monkeypatch.setattr(cli, "list_representations", moved)
         code, out, _ = run_cli(capsys, "oracle", "84")
         assert code == 2
         assert "J=84: classes 2 vs 2, max minimum 84 vs 84" in out
+        assert f"  only enumerated: cos {cos}, minimum {last.minimum}\n" in out
+        assert f"  only parameterized: cos {fake_cos}, minimum {last.minimum}\n" in out
         assert "DISAGREE: 1/84 indices differ" in out
+
+        code, out, _ = run_cli(capsys, "oracle", "84", "--format", "json")
+        assert code == 2
+        (row,) = json.loads(out)["disagreements"]
+        assert row["J"] == 84
+        assert row["only_enumerated"] == [
+            {"cos_den": cos.denominator, "cos_num": cos.numerator, "minimum": last.minimum}
+        ]
+        assert row["only_parameterized"] == [
+            {"cos_den": fake_cos.denominator, "cos_num": fake_cos.numerator,
+             "minimum": last.minimum}
+        ]
 
     def test_workers_clamped_to_cpus(self, monkeypatch):
         # computes the worker count only; no pool is started

@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -43,6 +44,14 @@ def brute_force_solutions(spec, z_bound):
                 sols.add(ProjectiveTriple.from_raw(x, y, z).as_tuple())
                 sols.add(ProjectiveTriple.from_raw(x, y, -z).as_tuple())
     return sols
+
+
+def admissible_scales(bound):
+    """Every d < bound that is 1 or a squarefree product of primes = 1 (mod 3)."""
+    return [
+        d for d in range(1, bound)
+        if all(e == 1 and p % 3 == 1 for p, e in sympy.factorint(d).items())
+    ]
 
 
 def on_seed_line(spec, t, m, n):
@@ -236,19 +245,35 @@ class TestScaledAngleSolutions:
             scaled_angle_solutions(49, 10)  # squared factor
 
     def test_matches_exhaustive_scan(self):
-        for d in (1, 7, 13):
-            q_max = 8
-            want = set()
-            for q in range(1, q_max + 1):
+        # a scan over p, independent of the scan over r inside the library
+        for d in admissible_scales(300):
+            want = []
+            for q in range(1, 9):
                 for p in range(0, math.isqrt(d * q * q) + 1):
                     rem = d * q * q - p * p
                     if rem % 3 != 0:
                         continue
                     r = math.isqrt(rem // 3)
                     if 3 * r * r == rem and math.gcd(math.gcd(p, r), q) == 1:
-                        want.add((p, r, q))
-            got = {t.as_tuple() for t in scaled_angle_solutions(d, q_max)}
-            assert got == want
+                        want.append((p, r, q))
+            for q_max in range(1, 9):
+                got = [t.as_tuple() for t in scaled_angle_solutions(d, q_max)]
+                assert got == sorted(w for w in want if w[2] <= q_max), (d, q_max)
+
+    def test_line_parameterization_reaches_every_solution(self):
+        # the line through a q = 1 seed (a, b, 1) and a solution (p, r, q) has
+        # slope (p - a q)/(r - b q); parameterize must land on that solution
+        for d in admissible_scales(200):
+            seed = scaled_angle_solutions(d, 1)[0]
+            a, b, _ = seed.as_tuple()
+            spec = ConicSpec(1, 0, 3, d, seed.as_tuple())
+            for t in scaled_angle_solutions(d, 6):
+                if t == seed:
+                    continue
+                p, r, q = t.as_tuple()
+                m, n = p - a * q, r - b * q
+                g = math.gcd(m, n)
+                assert parameterize(spec, m // g, n // g) == t, (d, t)
 
 
 class TestCountRepresentations:
@@ -286,10 +311,6 @@ class TestInvariantViolations:
         monkeypatch.setattr(conic, "parameterize", lambda spec, m, n: ProjectiveTriple(1, 0, 1))
         with pytest.raises(InvariantViolation):
             solve_angle_form(2, 1)
-
-    def test_seed_for_inadmissible_scale(self):
-        with pytest.raises(InvariantViolation):
-            conic._seed_for_scale(5)
 
     def test_count_contradicts_closed_form(self, monkeypatch):
         monkeypatch.setattr(conic, "_validate_scale", lambda d: [7, 13])
