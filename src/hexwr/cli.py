@@ -13,7 +13,7 @@ from fractions import Fraction
 from .enumeration import IndexRepresentation, index_set_member, list_representations, wr_survey
 from .errors import InvariantViolation
 from .lattice import ClassParams
-from .optimizer import max_min, rank_by_snr
+from .optimizer import REL_TOL_FLOOR, max_min, rank_by_snr
 from .triples import admissible_params, generate_tree, node_id
 
 # the eleven classical small indices replayed by `maxmin --table1`
@@ -41,13 +41,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _positive_float(text: str) -> float:
+def _zeta_tol(text: str) -> float:
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not a number")
-    if not value > 0.0:
-        raise argparse.ArgumentTypeError(f"{text!r} is not positive")
+    if not value >= REL_TOL_FLOOR:
+        raise argparse.ArgumentTypeError(f"{text!r} is below the zeta floor {REL_TOL_FLOOR:.3g}")
     return value
 
 
@@ -299,12 +299,7 @@ def cmd_classes(args) -> int:
         (ClassParams(m, n) for m, n in admissible_params(args.cmax)),
         key=lambda p: (p.class_minimum, p.m),
     )
-    header = ["m", "n", "class_minimum", "minimal_index", "cos"]
-    rows = [
-        [str(p.m), str(p.n), str(p.class_minimum), str(p.minimal_index),
-         f"{p.cosine.numerator}/{p.cosine.denominator}"]
-        for p in found
-    ]
+    cosines = [p.cosine for p in found]
     if args.format == "json":
         _print_json(
             {
@@ -312,22 +307,29 @@ def cmd_classes(args) -> int:
                 "classes": [
                     {
                         "class_minimum": p.class_minimum,
-                        "cos_den": p.cosine.denominator,
-                        "cos_num": p.cosine.numerator,
+                        "cos_den": cos.denominator,
+                        "cos_num": cos.numerator,
                         "m": p.m,
                         "minimal_index": p.minimal_index,
                         "n": p.n,
                     }
-                    for p in found
+                    for p, cos in zip(found, cosines)
                 ],
                 "count": len(found),
             }
         )
-    elif args.format == "csv":
-        _print_csv(header, rows)
     else:
-        print(f"similarity classes with minimum <= {args.cmax}: {len(found)}")
-        _print_table(header, rows)
+        header = ["m", "n", "class_minimum", "minimal_index", "cos"]
+        rows = [
+            [str(p.m), str(p.n), str(p.class_minimum), str(p.minimal_index),
+             f"{cos.numerator}/{cos.denominator}"]
+            for p, cos in zip(found, cosines)
+        ]
+        if args.format == "csv":
+            _print_csv(header, rows)
+        else:
+            print(f"similarity classes with minimum <= {args.cmax}: {len(found)}")
+            _print_table(header, rows)
     return 0
 
 
@@ -363,7 +365,7 @@ def _build_parser() -> _Parser:
 
     p = add("snr", cmd_snr, "rank index-J classes by signal-to-noise ratio")
     p.add_argument("J", type=_positive_int)
-    p.add_argument("--tol", type=_positive_float, default=1e-9,
+    p.add_argument("--tol", type=_zeta_tol, default=1e-9,
                    help="relative tolerance for the zeta values")
 
     p = add("tree", cmd_tree, "generate the pair tree",

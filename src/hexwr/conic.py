@@ -79,7 +79,9 @@ class ConicSpec:
 
     The seed (a, b, c) must satisfy alpha a^2 + beta a b + gamma b^2 =
     delta c^2 with c != 0, and the form on the left must not degenerate
-    into a product of rational lines (beta^2 != 4 alpha gamma).
+    into a product of rational lines (beta^2 != 4 alpha gamma).  Kept, with
+    parameterize, as the seeded line construction from which the paper's
+    angle-form and norm-form formulas follow.
     """
 
     alpha: int
@@ -115,7 +117,8 @@ def parameterize(spec: ConicSpec, m: int, n: int) -> ProjectiveTriple:
 
     Requires gcd(m, n) == 1.  Distinct coprime pairs, normalized so that
     m >= 0 (and n > 0 when m == 0), give distinct projective points, and
-    every solution arises this way.
+    every solution arises this way.  The benchmark tracer wraps it by name,
+    so a benchmark change must drop its metrics before it can go.
     """
     if (m, n) == (0, 0):
         raise ValueError("parameter pair (0, 0) is not allowed")
@@ -139,7 +142,8 @@ def solve_angle_form(m: int, n: int) -> ProjectiveTriple:
 
     Returns the canonical representative of (m^2 - 3 n^2, 2 m n, m^2 + 3 n^2).
     The ratio window makes the cosine p/q land in (0, 1/2], the range realized
-    by angles of well-rounded sublattices.
+    by angles of well-rounded sublattices.  Kept as the paper's parameterization
+    of the attainable angles, which omega_theta turns into sublattices.
     """
     if m < 1 or n < 1:
         raise ValueError("parameters must be positive")

@@ -41,7 +41,11 @@ __all__ = [
 
 
 def decompose_k(k: int) -> Optional[tuple[int, int, int]]:
-    """Split a scale factor as k = 3^u * j^2 * d (see arith.norm_split), or None if impossible."""
+    """Split a scale factor as k = 3^u * j^2 * d (see arith.norm_split), or None if impossible.
+
+    Nothing in the package calls it; it stays because the benchmark tracer
+    wraps it by name, and a benchmark change must drop its metrics first.
+    """
     return norm_split(factorize(k))
 
 

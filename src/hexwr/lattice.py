@@ -62,14 +62,6 @@ class HexSublattice:
         if self.det == 0:
             raise ValueError("coefficient matrix is singular")
 
-    @classmethod
-    def from_matrix(cls, rows) -> "HexSublattice":
-        (a, c), (b, d) = rows
-        return cls(a, b, c, d)
-
-    def to_matrix(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        return ((self.a, self.c), (self.b, self.d))
-
     @property
     def det(self) -> int:
         return self.a * self.d - self.c * self.b
@@ -235,7 +227,8 @@ def omega_theta(m: int, n: int) -> HexSublattice:
     Needs coprime m, n with sqrt(3) < m/n <= 3.  Both basis columns have
     norm m^2 + 3n^2 and the index is 4mn; generally not minimal in its
     class, but it realizes every angle directly from the angle-form
-    parameters.
+    parameters.  Kept as the paper's angle-form family, which the tests
+    check against solve_angle_form and class_of.
     """
     if m < 1 or n < 1:
         raise ValueError("parameters must be positive")

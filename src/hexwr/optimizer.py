@@ -1,8 +1,8 @@
 """Extremal questions at fixed index: largest minimum, zeta values, SNR.
 
-Three layers: quick arithmetic shortcuts (is_loeschian, eliminate_test),
-the exact maximizer of the minimum over all well-rounded sublattices of a
-given index, and numerical evaluation of the Epstein zeta function with
+Three layers: a quick nonexistence shortcut (eliminate_test), the exact
+maximizer of the minimum over all well-rounded sublattices of a given
+index, and numerical evaluation of the Epstein zeta function with
 rigorous error bounds, from which signal-to-noise figures and rankings
 are derived.
 """
@@ -25,24 +25,16 @@ __all__ = [
     "MaxMinResult",
     "ZetaValue",
     "SnrValue",
-    "is_loeschian",
     "eliminate_test",
     "max_min",
     "cos_from_index_min",
     "epstein_zeta",
     "epstein_zeta_direct",
+    "REL_TOL_FLOOR",
+    "DIRECT_REL_TOL_FLOOR",
     "snr",
     "rank_by_snr",
 ]
-
-
-def is_loeschian(M: int) -> bool:
-    """True when M = x^2 - xy + y^2 has an integer solution.
-
-    Classical criterion: every prime congruent to 2 mod 3 must occur to an
-    even power.
-    """
-    return norm_split(factorize(M)) is not None
 
 
 def eliminate_test(J: int) -> bool:
@@ -52,7 +44,8 @@ def eliminate_test(J: int) -> bool:
     (every prime = 2 mod 3 to an even power); for those J it returns False.
     Otherwise True when J is prime, or twice an odd prime, or a product of
     two odd primes p < q with q > 3p; True guarantees no index-J
-    well-rounded sublattice exists.
+    well-rounded sublattice exists.  Kept as the paper's nonexistence
+    criterion for such indices, which the tests check against the survey.
     """
     fac = factorize(J)
     if norm_split(fac) is not None:
@@ -95,7 +88,9 @@ def cos_from_index_min(J: int, M: int) -> Optional[Fraction]:
 
     A well-rounded sublattice with index J and minimum M must have
     cos theta = sqrt(4M^2 - 3J^2) / (2M); when that is not a rational in
-    [0, 1/2] no such lattice can exist and None is returned.
+    [0, 1/2] no such lattice can exist and None is returned.  Kept as the
+    paper's relation J = (2/sqrt(3)) M sin(theta) between index, minimum and
+    angle, which the tests check against every surveyed class.
     """
     if J < 1 or M < 1:
         raise ValueError("index and minimum must be positive")
@@ -114,6 +109,12 @@ def cos_from_index_min(J: int, M: int) -> Optional[Fraction]:
 # ---------------------------------------------------------------------------
 # Epstein zeta and SNR
 # ---------------------------------------------------------------------------
+
+
+#: relative rounding slop in every epstein_zeta bound: no smaller rel_tol can be met
+REL_TOL_FLOOR = 2.0**-48
+#: relative float slop of epstein_zeta_direct: with a tail, no rel_tol up to it can be met
+DIRECT_REL_TOL_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -173,12 +174,13 @@ def epstein_zeta(
     Gaussian theta-series estimates, and the cutoff is doubled until the
     bound drops under rel_tol times the value.  min_truncation_radius
     forces extra doublings past the first acceptable cutoff, which is how
-    stability under refinement can be demonstrated from outside.
+    stability under refinement can be demonstrated from outside.  A
+    rel_tol below REL_TOL_FLOOR is rejected at once.
     """
     if not s > 1:
         raise ValueError("the sum only converges for s > 1")
-    if not rel_tol > 0:
-        raise ValueError("rel_tol must be positive")
+    if not rel_tol >= REL_TOL_FLOOR:
+        raise ValueError(f"rel_tol={rel_tol} is below the floor {REL_TOL_FLOOR:.3g}")
     n1, dd, n2 = _gram(L)
     disc = 4 * n1 * n2 - dd * dd
     with mp.workdps(30):
@@ -212,7 +214,7 @@ def epstein_zeta(
                 (2 * alpha**s_mp / t_cut) * (theta_p**2 - 1)
                 + (alpha ** (s_mp + 1) / (delta * t_cut)) * (theta_d**2 - 1)
             )
-            bound = tail + abs(value) * mp.mpf(2) ** -48
+            bound = tail + abs(value) * REL_TOL_FLOOR
             if bound <= rel_tol * abs(value) and r_primal >= min_truncation_radius:
                 return ZetaValue(
                     value=float(value),
@@ -238,13 +240,14 @@ def epstein_zeta_direct(
     Adds (squared length)^-s over all vectors with squared length at most
     R and bounds the rest by twice the continuum integral,
     4 pi / (covolume (s-1) R^(s-1)), doubling R until the bound is small
-    enough.  Slow at tight tolerances; intended as an independent check of
-    epstein_zeta.
+    enough.  Slow at tight tolerances; kept as the independent reference
+    that the tests compare epstein_zeta against.  A rel_tol at or below
+    DIRECT_REL_TOL_FLOOR is rejected at once.
     """
     if not s > 1:
         raise ValueError("the sum only converges for s > 1")
-    if not rel_tol > 0:
-        raise ValueError("rel_tol must be positive")
+    if not rel_tol > DIRECT_REL_TOL_FLOOR:
+        raise ValueError(f"rel_tol={rel_tol} is not above the floor {DIRECT_REL_TOL_FLOOR:.3g}")
     n1, dd, n2 = _gram(L)
     disc = 4 * n1 * n2 - dd * dd
     delta = math.sqrt(disc) / 2
@@ -254,7 +257,7 @@ def epstein_zeta_direct(
         for _x, _y, q in _form_points(n1, dd, n2, radius):
             value += float(q) ** -s
         tail = 4 * math.pi / (delta * (s - 1) * radius ** (s - 1))
-        bound = tail + value * 1e-12  # float accumulation slop
+        bound = tail + value * DIRECT_REL_TOL_FLOOR
         if bound <= rel_tol * value:
             return ZetaValue(
                 value=value,

@@ -23,10 +23,8 @@ from .errors import InvariantViolation
 __all__ = [
     "EisensteinTriple",
     "AssociatedPair",
-    "MonoidWord",
     "GENERATOR_LABELS",
     "generator_matrix",
-    "classify_gcd",
     "associate",
     "is_admissible",
     "admissible_params",
@@ -87,17 +85,6 @@ class EisensteinTriple:
         return f"({self.a},{self.b},{self.c})"
 
 
-def classify_gcd(m: int, n: int) -> int:
-    """Content of the raw triple produced by solve_norm_form(m, n).
-
-    For coprime m, n this is 3 exactly when 3 divides m + n, else 1; the
-    full gcd computation is never needed.
-    """
-    if math.gcd(m, n) != 1:
-        raise ValueError(f"parameters {(m, n)} are not coprime")
-    return 3 if (m + n) % 3 == 0 else 1
-
-
 def associate(t: EisensteinTriple) -> EisensteinTriple:
     """The partner triple (b - a, b, c).  An involution on primitive triples."""
     if t.a > t.b:
@@ -137,9 +124,6 @@ class AssociatedPair:
     @property
     def c(self) -> int:
         return self.upper.c
-
-    def members(self) -> tuple[EisensteinTriple, EisensteinTriple]:
-        return (self.upper, self.lower)
 
     def __str__(self) -> str:
         u = self.upper
@@ -326,32 +310,6 @@ def generator_matrix(label: str) -> Matrix:
         return _GENERATORS[label]
     except KeyError:
         raise ValueError(f"unknown generator {label!r}") from None
-
-
-@dataclass(frozen=True)
-class MonoidWord:
-    """A finite word over the generators, acting as the product of its letters.
-
-    ``labels[0]`` is the leftmost factor, so ``apply`` feeds the triple to the
-    last letter first.
-    """
-
-    labels: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        for lab in self.labels:
-            if lab not in _GENERATORS:
-                raise ValueError(f"unknown generator {lab!r}")
-
-    def matrix(self) -> Matrix:
-        out = _IDENTITY
-        for lab in self.labels:
-            out = _matmul(out, _GENERATORS[lab])
-        return out
-
-    def apply(self, t: EisensteinTriple) -> EisensteinTriple:
-        v = _matvec(self.matrix(), t.as_tuple())
-        return EisensteinTriple(*v)
 
 
 def apply_generator(label: str, t: EisensteinTriple) -> EisensteinTriple:

@@ -3,6 +3,7 @@
 import math
 import random
 
+import pytest
 import sympy
 
 from hexwr.arith import divisors, factorize, multiplicities, norm_split
@@ -101,6 +102,32 @@ class TestDivisors:
         for D in divisors(fac):
             expected = {p: sympy.factorint(D).get(p, 0) for p in fac}
             assert multiplicities(D, fac) == expected, D
+
+
+class TestNormSplit:
+    """norm_split(factorize(M)) is not None exactly when M = x^2 - xy + y^2."""
+
+    def test_examples(self):
+        assert norm_split(factorize(7)) is not None
+        assert norm_split(factorize(5)) is None
+        assert norm_split(factorize(1)) is not None
+        assert norm_split(factorize(21)) is not None
+
+    def test_rejects_nonpositive(self):
+        with pytest.raises(ValueError):
+            factorize(0)
+
+    def test_against_direct_search(self):
+        limit = 10_000
+        reachable = set()
+        top = math.isqrt(4 * limit // 3) + 1
+        for x in range(-top, top + 1):
+            for y in range(0, top + 1):
+                v = x * x - x * y + y * y
+                if 1 <= v <= limit:
+                    reachable.add(v)
+        for M in range(1, limit + 1):
+            assert (norm_split(factorize(M)) is not None) == (M in reachable)
 
 
 class TestListRepresentationsTail:

@@ -137,6 +137,12 @@ class TestSnr:
         code, _, err = run_cli(capsys, "snr", "8", "--tol", "-1")
         assert code == 1
 
+    def test_tol_below_zeta_floor(self, capsys):
+        code, out, err = run_cli(capsys, "snr", "84", "--tol", "1e-15")
+        assert code == 1
+        assert out == ""
+        assert "floor" in err and "Traceback" not in err
+
     def test_invariant_violation_exit_code(self, capsys, monkeypatch):
         def explode(J, rel_tol=1e-9):
             raise InvariantViolation("boom")

@@ -192,10 +192,14 @@ class TestSolveNormForm:
         assert solve_norm_form(9, 7) == (45, 77, 67)
 
     def test_gcd_structure(self):
-        # gcd is 3 exactly when 3 divides m + n
-        for m in range(1, 30):
-            for n in range(1, 30):
-                if math.gcd(m, n) != 1 or not (n <= 2 * m and m <= 2 * n):
+        # gcd is 3 exactly when 3 divides m + n; non-coprime m, n are rejected
+        for m in range(1, 49):
+            for n in range(1, 49):
+                if not (n <= 2 * m and m <= 2 * n):
+                    continue
+                if math.gcd(m, n) != 1:
+                    with pytest.raises(ValueError):
+                        solve_norm_form(m, n)
                     continue
                 a, b, c = solve_norm_form(m, n)
                 g = math.gcd(math.gcd(a, b), c)

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hexwr.enumeration import (
     IndexRepresentation,
@@ -121,6 +123,15 @@ class TestIndexRepresentation:
         assert minimum(L) == rep.minimum == 76  # k * class minimum = 4 * 19
         assert class_of(L) == ClassParams(5, 3)
 
+    @settings(deadline=None)
+    @given(st.integers(min_value=1, max_value=10**9))
+    def test_every_representation_builds_its_member(self, J):
+        for rep in list_representations(J):
+            L = rep.to_sublattice()
+            assert L.index == J
+            assert class_of(L) == rep.params
+            assert minimum(L) == rep.minimum
+
 
 class TestListRepresentations:
     def test_index_84(self):
@@ -186,7 +197,7 @@ class TestHnfSublattices:
             for L in hnf_sublattices(J):
                 assert L.index == J
                 assert L.b == 0 and 0 <= L.c < L.a
-                seen.add(L.to_matrix())
+                seen.add(L)
             assert len(seen) == sum(sympy.divisors(J))
 
     def test_index_8_wr_members(self):

@@ -78,9 +78,8 @@ class TestHexSublattice:
             HexSublattice(1, 2, 2, 4)
 
     def test_matrix_round_trip(self):
-        L = HexSublattice.from_matrix(((5, 0), (0, 1)))
+        L = HexSublattice(5, 0, 0, 1)
         assert (L.a, L.b, L.c, L.d) == (5, 0, 0, 1)
-        assert L.to_matrix() == ((5, 0), (0, 1))
         assert str(L) == "[[5,0],[0,1]]"
 
     def test_index_is_absolute_determinant(self):
@@ -96,7 +95,7 @@ class TestLagrangeReduce:
         assert lagrange_reduce(L) == L
 
     def test_boundary_case_both_norms_twelve(self):
-        L = HexSublattice.from_matrix(((4, 2), (2, -2)))
+        L = HexSublattice(4, 2, 2, -2)
         r = lagrange_reduce(L)
         assert r.norms == (12, 12)
         assert r.index == 12
@@ -159,7 +158,7 @@ class TestMinimum:
 class TestWellRounded:
     def test_examples(self):
         assert is_well_rounded(HexSublattice(1, 0, 0, 1))
-        assert not is_well_rounded(HexSublattice.from_matrix(((1, 0), (0, 2))))
+        assert not is_well_rounded(HexSublattice(1, 0, 0, 2))
         assert is_well_rounded(gamma_theta(ClassParams(5, 3)))
 
 
@@ -261,7 +260,7 @@ class TestClassOf:
 
     def test_index_84_hexagonal_angle(self):
         # a rotated-scaled copy of the full lattice with index 84
-        L = HexSublattice.from_matrix(((10, -2), (2, 8)))
+        L = HexSublattice(10, 2, -2, 8)
         assert L.index == 84
         assert is_well_rounded(L)
         assert angle_data(L).cosine == Fraction(1, 2)

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from hexwr import optimizer
+from hexwr.arith import factorize, norm_split
 from hexwr.enumeration import (
     IndexRepresentation,
     count_classes_bruteforce,
@@ -13,11 +15,12 @@ from hexwr.enumeration import (
 )
 from hexwr.lattice import ClassParams, HexSublattice, gamma_theta, omega_theta
 from hexwr.optimizer import (
+    DIRECT_REL_TOL_FLOOR,
+    REL_TOL_FLOOR,
     cos_from_index_min,
     eliminate_test,
     epstein_zeta,
     epstein_zeta_direct,
-    is_loeschian,
     max_min,
     rank_by_snr,
     snr,
@@ -28,30 +31,6 @@ from hexwr.optimizer import (
 HEX_ZETA_2 = 7.711145732904896
 
 ELIMINATED = [2, 5, 6, 10, 11, 14, 17, 22, 23, 26, 29, 33, 34, 38, 41, 46, 47, 53, 59]
-
-
-class TestIsLoeschian:
-    def test_examples(self):
-        assert is_loeschian(7)
-        assert not is_loeschian(5)
-        assert is_loeschian(1)
-        assert is_loeschian(21)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            is_loeschian(0)
-
-    def test_against_direct_search(self):
-        limit = 10_000
-        reachable = set()
-        top = math.isqrt(4 * limit // 3) + 1
-        for x in range(-top, top + 1):
-            for y in range(0, top + 1):
-                v = x * x - x * y + y * y
-                if 1 <= v <= limit:
-                    reachable.add(v)
-        for M in range(1, limit + 1):
-            assert is_loeschian(M) == (M in reachable)
 
 
 class TestEliminateTest:
@@ -132,7 +111,7 @@ class TestMaxMin:
 
     def test_representable_index_favors_ideal_class(self):
         for J in range(1, 200):
-            if not is_loeschian(J):
+            if norm_split(factorize(J)) is None:
                 continue
             res = max_min(J)
             assert res.best_minimum == J
@@ -223,6 +202,23 @@ class TestEpsteinZeta:
             epstein_zeta(L, 2.0, 0.0)
         with pytest.raises(ValueError):
             epstein_zeta_direct(L, 0.5)
+
+    def test_tolerance_floors(self, monkeypatch):
+        L = HexSublattice(1, 0, 0, 1)
+        for tol in (REL_TOL_FLOOR, 1e-14):
+            z = epstein_zeta(L, 2, tol)
+            assert abs(z.value - HEX_ZETA_2) <= z.abs_error_bound <= tol * z.value
+
+        def no_summation(*args):
+            raise AssertionError("a tolerance below the floor must fail before summing")
+
+        monkeypatch.setattr(optimizer, "_form_points", no_summation)
+        for tol in (REL_TOL_FLOOR / 2, 1e-15):
+            with pytest.raises(ValueError, match="floor"):
+                epstein_zeta(L, 2, tol)
+        for tol in (DIRECT_REL_TOL_FLOOR, 1e-13):
+            with pytest.raises(ValueError, match="floor"):
+                epstein_zeta_direct(L, 2, tol)
 
 
 class TestSnr:

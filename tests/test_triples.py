@@ -12,12 +12,10 @@ from hexwr.triples import (
     GENERATOR_LABELS,
     AssociatedPair,
     EisensteinTriple,
-    MonoidWord,
     all_pairs_up_to,
     angle_point_of_pair,
     apply_generator,
     associate,
-    classify_gcd,
     descend,
     generate_tree,
     generator_matrix,
@@ -86,21 +84,6 @@ class TestEisensteinTriple:
         # b = 2a forces c^2 = 3a^2, impossible for positive integers
         for t in brute_force_triples(120):
             assert t.is_upper or t.is_lower
-
-
-class TestClassifyGcd:
-    def test_matches_actual_content(self):
-        for n in range(1, 25):
-            for m in range(n, 2 * n + 1):
-                if math.gcd(m, n) != 1:
-                    continue
-                a, b, c = solve_norm_form(m, n)
-                g = math.gcd(math.gcd(a, b), c)
-                assert classify_gcd(m, n) == g == (3 if (m + n) % 3 == 0 else 1)
-
-    def test_non_coprime_rejected(self):
-        with pytest.raises(ValueError):
-            classify_gcd(4, 2)
 
 
 class TestAssociate:
@@ -183,7 +166,7 @@ class TestParams:
         for t in brute_force_triples(200):
             m, n = params_from_triple(t)
             pair = primitive_pair_from_params(m, n)
-            assert t in pair.members()
+            assert t in (pair.upper, pair.lower)
 
     def test_exactly_one_member_is_parameterized(self):
         seen_pairs = set()
@@ -193,7 +176,7 @@ class TestParams:
                 continue
             seen_pairs.add(pair)
             m, n = params_from_triple(pair.upper)
-            hits = [u for u in pair.members() if u.as_tuple() == solve_norm_form(m, n)]
+            hits = [u for u in (pair.upper, pair.lower) if u.as_tuple() == solve_norm_form(m, n)]
             assert len(hits) == 1
 
     @given(
@@ -292,14 +275,6 @@ class TestGenerators:
             assert apply_generator("U", pair.upper) == pair.lower
             assert apply_generator("U", pair.lower) == pair.upper
 
-    def test_word_is_left_to_right_product(self):
-        w = MonoidWord(("M1", "M3"))
-        root = EisensteinTriple(0, 1, 1)
-        by_steps = apply_generator("M1", apply_generator("M3", root))
-        assert w.apply(root) == by_steps
-        with pytest.raises(ValueError):
-            MonoidWord(("M1", "bogus"))
-
 
 class TestDescend:
     def test_examples(self):
@@ -359,10 +334,11 @@ class TestDescend:
                 steps += 1
                 assert steps < 64
             assert u == EisensteinTriple(0, 1, 1)
-            # labels run from the node toward the root, which is exactly the
-            # left-to-right factor order of the rebuilding word
-            word = MonoidWord(tuple(labels))
-            assert word.apply(EisensteinTriple(0, 1, 1)) == pair.upper
+            # labels run from the node toward the root, so the rebuild
+            # applies the last label first
+            for lab in reversed(labels):
+                u = apply_generator(lab, u)
+            assert u == pair.upper
 
 
 class TestTree:
