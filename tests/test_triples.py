@@ -86,6 +86,19 @@ class TestEisensteinTriple:
             assert t.is_upper or t.is_lower
 
 
+class TestClassifyGcd:
+    def test_matches_actual_content(self):
+        # the triple built from coprime (m, n) has content 3 exactly when 3 | m + n
+        for n in range(1, 25):
+            for m in range(n, 2 * n + 1):
+                if math.gcd(m, n) != 1:
+                    continue
+                a, b, c = solve_norm_form(m, n)
+                g = math.gcd(math.gcd(a, b), c)
+                assert EisensteinTriple(a, b, c).content == g
+                assert g == (3 if (m + n) % 3 == 0 else 1)
+
+
 class TestAssociate:
     def test_example(self):
         assert associate(EisensteinTriple(3, 8, 7)) == EisensteinTriple(5, 8, 7)
