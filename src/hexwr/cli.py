@@ -18,6 +18,8 @@ from .triples import admissible_params, generate_tree, node_id
 
 # the eleven classical small indices replayed by `maxmin --table1`
 TABLE1_INDICES = (8, 15, 21, 24, 32, 35, 40, 45, 55, 60, 65)
+# deepest `tree --depth` served without --cmax: (5^D + 1)/2 nodes, 195,313 at D = 8
+MAX_DEPTH_WITHOUT_CMAX = 8
 
 
 class _UsageError(Exception):
@@ -197,6 +199,8 @@ def cmd_snr(args) -> int:
 def cmd_tree(args) -> int:
     if args.cmax is None and args.depth is None:
         raise _UsageError("give at least one of --cmax or --depth")
+    if args.cmax is None and args.depth > MAX_DEPTH_WITHOUT_CMAX:
+        raise _UsageError(f"--depth above {MAX_DEPTH_WITHOUT_CMAX} needs --cmax")
     tree = generate_tree(c_max=args.cmax, max_depth=args.depth)
     if args.format == "dot":
         print(tree.to_dot())

@@ -20,7 +20,7 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .arith import factorize
+from .arith import factorize, norm_split
 from .errors import InvariantViolation, NotRepresentableError
 
 __all__ = [
@@ -181,13 +181,10 @@ def solve_norm_form(m: int, n: int) -> tuple[int, int, int]:
 
 
 def _validate_scale(d: int) -> list[int]:
-    """Check d is 1 or a squarefree product of primes = 1 (mod 3); return its primes."""
+    """Primes of d, once arith.norm_split has confirmed d as an admissible scale (0, 1, d)."""
     fac = factorize(d)
-    for p, e in fac.items():
-        if e > 1:
-            raise NotRepresentableError(f"{d} has squared factor {p}^{e}")
-        if p % 3 != 1:
-            raise NotRepresentableError(f"{d} has prime factor {p} != 1 (mod 3)")
+    if norm_split(fac) != (0, 1, d):
+        raise NotRepresentableError(f"{d} is not 1 or a squarefree product of primes = 1 (mod 3)")
     return list(fac)
 
 

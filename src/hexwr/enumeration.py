@@ -43,8 +43,8 @@ __all__ = [
 def decompose_k(k: int) -> Optional[tuple[int, int, int]]:
     """Split a scale factor as k = 3^u * j^2 * d (see arith.norm_split), or None if impossible.
 
-    Nothing in the package calls it; it stays because the benchmark tracer
-    wraps it by name, and a benchmark change must drop its metrics first.
+    A valid d is exactly a k that splits as (0, 1, k), which is how
+    IndexRepresentation checks its d.
     """
     return norm_split(factorize(k))
 
@@ -63,7 +63,7 @@ class IndexRepresentation:
             raise ValueError("u must be 0 or 1")
         if self.j < 1:
             raise ValueError("j must be positive")
-        if norm_split(factorize(self.d)) != (0, 1, self.d):
+        if decompose_k(self.d) != (0, 1, self.d):
             raise ValueError(f"d={self.d} is not a squarefree product of primes = 1 mod 3")
 
     @property

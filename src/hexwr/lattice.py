@@ -170,8 +170,9 @@ def angle_data(L: HexSublattice) -> AngleData:
         raise InvariantViolation(
             f"angle identity failed for {L}: ({p}, {rr}, {q})"
         )
-    g = math.gcd(p, q)
-    return AngleData(p // g, q // g, ProjectiveTriple.from_raw(p, rr, q))
+    # gcd(p, q) divides rr since q^2 - p^2 = 3 rr^2, so t.x / t.z is p / q in lowest terms
+    t = ProjectiveTriple.from_raw(p, rr, q)
+    return AngleData(t.x, t.z, t)
 
 
 @dataclass(frozen=True)

@@ -123,7 +123,6 @@ class ZetaValue:
 
     value: float
     abs_error_bound: float
-    s: float
     truncation_radius: int
 
 
@@ -219,7 +218,6 @@ def epstein_zeta(
                 return ZetaValue(
                     value=float(value),
                     abs_error_bound=float(bound),
-                    s=float(s),
                     truncation_radius=r_primal,
                 )
             t_cut *= 2
@@ -262,7 +260,6 @@ def epstein_zeta_direct(
             return ZetaValue(
                 value=value,
                 abs_error_bound=bound,
-                s=float(s),
                 truncation_radius=radius,
             )
         radius *= 2

@@ -94,32 +94,28 @@ def associate(t: EisensteinTriple) -> EisensteinTriple:
 
 @dataclass(frozen=True)
 class AssociatedPair:
-    """Unordered pair {t, associate(t)} of primitive triples.
+    """Unordered pair {t, associate(t)} of primitive triples, stored by its upper member.
 
-    Stored by its two members: ``upper`` has b > 2a, ``lower`` has b < 2a.
-    b = 2a cannot happen for a nonzero triple (it would force c^2 = 3a^2).
+    ``upper`` has b > 2a and ``lower``, its associate, has b < 2a.  b = 2a
+    cannot happen for a nonzero triple (it would force c^2 = 3a^2).
     """
 
     upper: EisensteinTriple
-    lower: EisensteinTriple
 
     def __post_init__(self) -> None:
-        if not (self.upper.is_upper and self.lower.is_lower):
-            raise ValueError(f"pair members mislabelled: {self.upper}, {self.lower}")
-        if associate(self.upper) != self.lower:
-            raise ValueError(f"{self.upper} and {self.lower} are not associates")
-        if not (self.upper.is_primitive and self.lower.is_primitive):
-            raise ValueError(f"pair members must be primitive: {self.upper}, {self.lower}")
+        if not (self.upper.is_primitive and self.upper.is_upper):
+            raise ValueError(f"{self.upper} is not a primitive upper triple")
 
     @classmethod
     def from_member(cls, t: EisensteinTriple) -> "AssociatedPair":
         t = t.primitive()
         if t.a > t.b:
             raise ValueError(f"{t} is not a pair member: needs a <= b")
-        other = associate(t)
-        if t.is_upper:
-            return cls(upper=t, lower=other)
-        return cls(upper=other, lower=t)
+        return cls(t if t.is_upper else associate(t))
+
+    @property
+    def lower(self) -> EisensteinTriple:
+        return associate(self.upper)
 
     @property
     def c(self) -> int:
@@ -224,11 +220,9 @@ def pair_of_angle_point(pt: ProjectiveTriple) -> AssociatedPair:
     if 2 * p > q:
         raise ValueError(f"{pt} has cosine above 1/2")
     if q % 2 == 0:
-        raw = ((r - p) // 2, r, q // 2)  # p and r are both odd here
+        t = EisensteinTriple((r - p) // 2, r, q // 2)  # p and r are both odd here
     else:
-        raw = (r - p, 2 * r, q)
-    g = math.gcd(math.gcd(raw[0], raw[1]), raw[2])
-    t = EisensteinTriple(raw[0] // g, raw[1] // g, raw[2] // g)
+        t = EisensteinTriple(r - p, 2 * r, q)
     return AssociatedPair.from_member(t)
 
 
@@ -253,18 +247,7 @@ def _matvec(x: Matrix, v: tuple[int, int, int]) -> tuple[int, int, int]:
     return tuple(sum(x[i][k] * v[k] for k in range(3)) for i in range(3))
 
 
-def _det(x: Matrix) -> int:
-    return (
-        x[0][0] * (x[1][1] * x[2][2] - x[1][2] * x[2][1])
-        - x[0][1] * (x[1][0] * x[2][2] - x[1][2] * x[2][0])
-        + x[0][2] * (x[1][0] * x[2][1] - x[1][1] * x[2][0])
-    )
-
-
 def _inverse(x: Matrix) -> Matrix:
-    d = _det(x)
-    if abs(d) != 1:
-        raise InvariantViolation(f"generator {x} is not unimodular")
     # cyclic-index cofactors carry the checkerboard sign already
     cof = tuple(
         tuple(
@@ -274,6 +257,9 @@ def _inverse(x: Matrix) -> Matrix:
         )
         for i in range(3)
     )
+    d = sum(x[0][j] * cof[0][j] for j in range(3))  # expansion along the first row
+    if abs(d) != 1:
+        raise InvariantViolation(f"generator {x} is not unimodular")
     # adjugate = transpose of cofactors; divide by det (+-1)
     return tuple(tuple(d * cof[j][i] for j in range(3)) for i in range(3))
 

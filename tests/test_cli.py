@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -189,6 +190,20 @@ class TestTree:
         code, _, err = run_cli(capsys, "tree")
         assert code == 1
         assert "cmax" in err or "depth" in err
+
+    def test_deep_tree_needs_cmax(self, capsys):
+        # depth 9 alone would build (5^9 + 1)/2 nodes, so it is refused before building
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "tree", "--depth", "9")
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out == ""
+        assert "--cmax" in err
+
+    def test_depth_with_cmax_is_unbounded(self, capsys):
+        _, plain, _ = run_cli(capsys, "tree", "--cmax", "1000")
+        code, deep, _ = run_cli(capsys, "tree", "--cmax", "1000", "--depth", "50")
+        assert code == 0
+        assert deep == plain
 
 
 class TestOracle:

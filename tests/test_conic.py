@@ -292,14 +292,16 @@ class TestCountRepresentations:
 
     def test_closed_form_small_range(self):
         # the scan inside count_representations asserts the 2^(omega+1) law;
-        # run it across every admissible d up to 500
+        # run it across every d up to 10^4, and check that it accepts exactly
+        # 1 and the squarefree products of primes = 1 (mod 3)
         admissible = []
-        for d in range(1, 501):
+        for d in range(1, 10**4 + 1):
             try:
                 count_representations(d)
                 admissible.append(d)
             except NotRepresentableError:
                 pass
+        assert admissible == admissible_scales(10**4 + 1)
         assert 7 in admissible and 91 in admissible and 5 not in admissible
 
 

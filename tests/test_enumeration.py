@@ -110,6 +110,13 @@ class TestIndexRepresentation:
             IndexRepresentation(u=0, j=1, d=10, params=ClassParams(1, 1))
         with pytest.raises(ValueError):
             IndexRepresentation(u=0, j=1, d=49, params=ClassParams(1, 1))
+        # d is rejected exactly when it is not 1 or a squarefree product of primes = 1 (mod 3)
+        for d in range(1, 2001):
+            if all(e == 1 and p % 3 == 1 for p, e in sympy.factorint(d).items()):
+                IndexRepresentation(u=0, j=1, d=d, params=ClassParams(1, 1))
+            else:
+                with pytest.raises(ValueError):
+                    IndexRepresentation(u=0, j=1, d=d, params=ClassParams(1, 1))
 
     def test_json_shape(self):
         rep = IndexRepresentation(u=0, j=2, d=1, params=ClassParams(5, 3))

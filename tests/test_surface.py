@@ -1,5 +1,6 @@
-"""Guards on the public surface: exported names exist, traced names resolve."""
+"""Guards on the public surface: exported names exist, traced names resolve, no bare asserts."""
 
+import ast
 import importlib
 from pathlib import Path
 
@@ -26,3 +27,14 @@ def test_benchmark_tracer_finds_every_traced_name(monkeypatch):
     tracer.Tracer()
     # construction only prepares the wrappers; begin() installs them
     assert all(getattr(owner, attr) is fn for (owner, attr), fn in originals.items())
+
+
+def test_no_bare_assert_in_package():
+    # python -O strips assert statements; invariants must raise InvariantViolation
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((ROOT / "src" / "hexwr").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

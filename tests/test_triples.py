@@ -60,6 +60,8 @@ class TestEisensteinTriple:
     def test_equation_enforced(self):
         with pytest.raises(ValueError):
             EisensteinTriple(1, 2, 3)
+        with pytest.raises(ValueError):
+            EisensteinTriple(4, 7, 6)
 
     def test_zero_and_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -134,15 +136,9 @@ class TestAssociatedPair:
 
     def test_mislabelled_rejected(self):
         with pytest.raises(ValueError):
-            AssociatedPair(
-                upper=EisensteinTriple(5, 8, 7), lower=EisensteinTriple(3, 8, 7)
-            )
-
-    def test_non_associates_rejected(self):
+            AssociatedPair(EisensteinTriple(5, 8, 7))  # a lower member given as upper
         with pytest.raises(ValueError):
-            AssociatedPair(
-                upper=EisensteinTriple(3, 8, 7), lower=EisensteinTriple(4, 7, 6)
-            )
+            AssociatedPair(EisensteinTriple(0, 3, 3))  # imprimitive
 
     def test_root_pair(self):
         p = AssociatedPair.from_member(EisensteinTriple(0, 1, 1))
