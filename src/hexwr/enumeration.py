@@ -14,6 +14,8 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
+from operator import add
 from typing import Iterator, NamedTuple, Optional
 
 from .arith import divisors, factorize, multiplicities, norm_split
@@ -32,6 +34,7 @@ __all__ = [
     "decompose_k",
     "list_representations",
     "count_N",
+    "counts_up_to",
     "index_set_member",
     "hnf_sublattices",
     "WrClassRecord",
@@ -153,6 +156,51 @@ def list_representations(J: int) -> list[IndexRepresentation]:
 def count_N(J: int) -> int:
     """Number of similarity classes of well-rounded sublattices of index J."""
     return len(list_representations(J))
+
+
+def _valid_scales(X: int) -> bytearray:
+    """valid[k] = 1 exactly when 1 <= k <= X is a scale 3^u * j^2 * d (see arith.norm_split).
+
+    That is when every prime = 2 mod 3 divides k to an even power.  A prime
+    sieve finds those primes p; each one zeroes its multiples, then restores
+    valid(p^2 * i) = valid(i), two powers of p per pass.  Every step is a
+    slice assignment, so no Python loop runs over the k.
+    """
+    is_prime = bytearray([1]) * (X + 1)
+    for p in range(2, math.isqrt(X) + 1):
+        if is_prime[p]:
+            is_prime[p * p :: p] = bytes(len(range(p * p, X + 1, p)))
+    valid = bytearray([1]) * (X + 1)
+    valid[0] = 0
+    for p in compress(range(2, X + 1), is_prime[2:]):
+        if p % 3 != 2:
+            continue
+        valid[p::p] = bytes(X // p)
+        sq = pe = p * p
+        while pe <= X:
+            valid[sq::sq] = valid[1 : X // sq + 1]
+            pe *= sq
+    return valid
+
+
+def counts_up_to(X: int) -> list[int]:
+    """[N(0), N(1), ..., N(X)]: the class count of every index up to X from one sieve.
+
+    Each admissible (m, n) with D = n(2m - n) <= X adds valid[k] at k * D for
+    every k <= X / D, which is list_representations(J) counted for all J at
+    once, without factoring any J.  Memory is O(X).
+    """
+    if X < 0:
+        raise ValueError(f"X={X} must be non-negative")
+    valid = _valid_scales(X)
+    counts = [0] * (X + 1)
+    for n in range(1, math.isqrt(X) + 1):
+        # D <= X bounds 2m - n by X // n
+        for m in range(n, min(2 * n, (X // n + n) // 2) + 1):
+            if is_admissible(m, n):
+                D = n * (2 * m - n)
+                counts[D::D] = map(add, counts[D::D], valid[1 : X // D + 1])
+    return counts
 
 
 def index_set_member(J: int) -> bool:

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 import time
@@ -345,6 +346,78 @@ class TestClassesAndIndexSet:
         want = [J for J in range(1, 121) if index_set_member(J)]
         assert obj["members"] == want and obj["count"] == len(want)
 
+    @pytest.mark.parametrize("X", [1, 2, 3, 50, 120, 2000])
+    def test_index_set_matches_per_index_test(self, capsys, X):
+        # the sieve behind index-set against one index_set_member call per J
+        want = [J for J in range(1, X + 1) if index_set_member(J)]
+        expected = {
+            "table": f"realizable indices up to {X}: {len(want)}\n{' '.join(map(str, want))}\n",
+            "csv": "J\n" + "".join(f"{J}\n" for J in want),
+            "json": json.dumps({"count": len(want), "j_max": X, "members": want},
+                               indent=2, sort_keys=True) + "\n",
+        }
+        for fmt, text in expected.items():
+            assert run_cli(capsys, "index-set", "--jmax", str(X), "--format", fmt) == (0, text, "")
+
+    def test_index_set_bound(self, capsys, monkeypatch):
+        # refused by argparse, before the sieve allocates anything
+        def refuse(X):
+            raise AssertionError(f"sieve up to {X} started above the bound")
+
+        monkeypatch.setattr(enumeration, "counts_up_to", refuse)
+        monkeypatch.setattr(cli, "counts_up_to", refuse)
+        assert cli._index_set_jmax(str(cli.MAX_INDEX_SET_JMAX)) == cli.MAX_INDEX_SET_JMAX
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "index-set", "--jmax", str(cli.MAX_INDEX_SET_JMAX + 1))
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out == ""
+        assert "above the index-set bound" in err and "Traceback" not in err
+
+
+class TestSharedParser:
+    SEQUENCE = [
+        ["count", "abc"],
+        ["count", "84", "--format", "json"],
+        ["--help"],
+        ["snr", "84", "--tol", "1e-15"],
+    ]
+
+    @pytest.fixture(autouse=True)
+    def fresh_parser(self):
+        cli._build_parser.cache_clear()
+        yield
+        cli._build_parser.cache_clear()
+
+    def test_built_once(self, capsys, monkeypatch):
+        builds = []
+
+        class Counting(cli._Parser):
+            def __init__(self, **kwargs):
+                if kwargs["prog"] == "hexwr":  # the top level, not a subcommand
+                    builds.append(kwargs)
+                super().__init__(**kwargs)
+
+        monkeypatch.setattr(cli, "_Parser", Counting)
+        for argv in self.SEQUENCE * 10 + [["index-set", "--jmax", "50"], ["maxmin"]]:
+            run_cli(capsys, *argv)
+        assert len(builds) == 1
+
+    def test_later_calls_match_a_fresh_process(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # --help wraps to the terminal width
+        fresh = [
+            subprocess.run([sys.executable, "-m", "hexwr.cli", *argv],
+                           capture_output=True, text=True)
+            for argv in self.SEQUENCE
+        ]
+        for _ in range(2):
+            for argv, proc in zip(self.SEQUENCE, fresh):
+                assert run_cli(capsys, *argv) == (proc.returncode, proc.stdout, proc.stderr), argv
+
+    def test_patched_library_after_cache(self, capsys, monkeypatch):
+        run_cli(capsys, "count", "84")
+        monkeypatch.setattr(cli, "list_representations", lambda J: [])
+        assert run_cli(capsys, "count", "84") == (0, "N(84) = 0\n", "")
+
 
 class TestEntryPoints:
     def test_help_exits_cleanly(self, capsys):
@@ -364,3 +437,30 @@ class TestEntryPoints:
         )
         assert proc.returncode == 0
         assert "7" in proc.stdout
+
+    @pytest.mark.parametrize("argv, lines_read", [
+        # over 300 KB: the reader closes while the table is being printed
+        (["tree", "--depth", "6"], 1),
+        # a few lines: the reader closes first, so the last flush hits the closed pipe
+        (["count", "84"], 0),
+    ], ids=["reader-closes-mid-output", "reader-closes-first"])
+    def test_broken_pipe_exits_quietly(self, argv, lines_read):
+        # block-buffered stdout, as for any pipe unless PYTHONUNBUFFERED is set
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        with subprocess.Popen(
+            [sys.executable, "-m", "hexwr.cli", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        ) as proc:
+            try:
+                for _ in range(lines_read):
+                    assert proc.stdout.readline()
+                proc.stdout.close()
+                code = proc.wait(timeout=60)
+            finally:
+                proc.kill()
+            err = proc.stderr.read()
+        assert code == 1
+        assert err == ""

@@ -13,6 +13,7 @@ from hexwr.enumeration import (
     IndexRepresentation,
     count_N,
     count_classes_bruteforce,
+    counts_up_to,
     decompose_k,
     hnf_sublattices,
     index_set_member,
@@ -190,6 +191,23 @@ class TestIndexSetMember:
     def test_table_of_small_members(self):
         members = [J for J in range(1, 17) if index_set_member(J)]
         assert members == [1, 3, 4, 7, 8, 9, 12, 13, 15, 16]
+
+
+class TestCountsUpTo:
+    def test_matches_count_N(self):
+        # one sieve against one factorization per index; 2 * 10**4 reaches
+        # 2**14 and 5**6, so several passes per prime = 2 mod 3 are checked
+        X = 2 * 10**4
+        assert counts_up_to(X) == [0] + [count_N(J) for J in range(1, X + 1)]
+
+    def test_small_bounds(self):
+        assert counts_up_to(0) == [0]
+        assert counts_up_to(1) == [0, 1]
+        assert counts_up_to(8) == [0, 1, 0, 1, 1, 0, 0, 1, 1]
+
+    def test_rejects_negative(self):
+        with pytest.raises(ValueError):
+            counts_up_to(-1)
 
 
 class TestHnfSublattices:
