@@ -7,7 +7,6 @@ import csv
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from functools import cache
 from itertools import compress
@@ -22,10 +21,21 @@ from .triples import admissible_params, generate_tree, node_id
 TABLE1_INDICES = (8, 15, 21, 24, 32, 35, 40, 45, 55, 60, 65)
 # deepest `tree --depth` served without --cmax: (5^D + 1)/2 nodes, 195,313 at D = 8
 MAX_DEPTH_WITHOUT_CMAX = 8
+# Size limits, each refused by argparse (exit 1) before any work starts.
+# Every accepted input stays within 10 s and 500 MB peak RSS; figures are for
+# a fresh process with stdout to /dev/null on a 2-core host with Python 3.11.
 # largest `index-set --jmax`: the sieve and the output hold O(jmax) memory.
-# 10**6 runs in at most 1.3 s and 100 MB peak RSS in every format; 10**7
-# takes up to 11.6 s and 783 MB (csv) on a 2-core host with Python 3.11.
+# 10**6 runs in at most 1.3 s and 100 MB in every format; 10**7 takes up
+# to 11.6 s and 783 MB (csv).
 MAX_INDEX_SET_JMAX = 10**6
+# largest `tree --cmax` and `classes --cmax`: nodes and classes grow about
+# linearly in cmax. At 10**6 tree takes 6.9-8.4 s and up to 259 MB (json),
+# classes 1.6-3.1 s and up to 274 MB (json).
+MAX_CMAX = 10**6
+# largest `oracle` jmax: it reduces about 0.82 jmax**2 sublattices. 1000
+# takes 4.4 s on 2 workers and 5.6 s on one; 1500 takes 9.3 s on 2 workers,
+# so one worker would pass 10 s there. Each process stays under 20 MB.
+MAX_ORACLE_JMAX = 1000
 
 
 class _UsageError(Exception):
@@ -49,13 +59,21 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _index_set_jmax(text: str) -> int:
-    value = _positive_int(text)
-    if value > MAX_INDEX_SET_JMAX:
-        raise argparse.ArgumentTypeError(
-            f"{text!r} is above the index-set bound {MAX_INDEX_SET_JMAX}"
-        )
-    return value
+def _bounded_int(limit: int, what: str):
+    """An argparse type for a positive integer of at most limit."""
+
+    def parse(text: str) -> int:
+        value = _positive_int(text)
+        if value > limit:
+            raise argparse.ArgumentTypeError(f"{text!r} is above the {what} bound {limit}")
+        return value
+
+    return parse
+
+
+_index_set_jmax = _bounded_int(MAX_INDEX_SET_JMAX, "index-set")
+_cmax = _bounded_int(MAX_CMAX, "--cmax")
+_oracle_jmax = _bounded_int(MAX_ORACLE_JMAX, "oracle")
 
 
 def _zeta_tol(text: str) -> float:
@@ -269,6 +287,9 @@ def cmd_oracle(args) -> int:
     if workers == 1:
         results = [_oracle_check(J) for J in indices]
     else:
+        # loaded here: it pulls in multiprocessing, which no other command needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunk = max(1, jmax // (4 * workers))
             results = list(pool.map(_oracle_check, indices, chunksize=chunk))
@@ -390,14 +411,14 @@ def _build_parser() -> _Parser:
 
     p = add("tree", cmd_tree, "generate the pair tree",
             formats=("table", "csv", "json", "dot"))
-    p.add_argument("--cmax", type=_positive_int)
+    p.add_argument("--cmax", type=_cmax)
     p.add_argument("--depth", type=_positive_int)
 
     p = add("oracle", cmd_oracle, "cross-validate against exhaustive enumeration")
-    p.add_argument("jmax", type=_positive_int)
+    p.add_argument("jmax", type=_oracle_jmax)
 
     p = add("classes", cmd_classes, "list admissible classes by minimum")
-    p.add_argument("--cmax", type=_positive_int, required=True)
+    p.add_argument("--cmax", type=_cmax, required=True)
 
     p = add("index-set", cmd_index_set, "list realizable indices")
     p.add_argument("--jmax", type=_index_set_jmax, required=True)

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-import mpmath as mp
-
 from .arith import factorize, norm_split
 from .enumeration import IndexRepresentation, list_representations
 from .errors import InvariantViolation
@@ -180,6 +178,8 @@ def epstein_zeta(
         raise ValueError("the sum only converges for s > 1")
     if not rel_tol >= REL_TOL_FLOOR:
         raise ValueError(f"rel_tol={rel_tol} is below the floor {REL_TOL_FLOOR:.3g}")
+    import mpmath as mp  # loaded here, so that commands without zeta values skip it
+
     n1, dd, n2 = _gram(L)
     disc = 4 * n1 * n2 - dd * dd
     with mp.workdps(30):
@@ -189,6 +189,11 @@ def epstein_zeta(
         lam_primal = mp.mpf(disc) / (4 * (n1 + n2))
         lam_dual = mp.mpf(1) / (n1 + n2)
         front = mp.pi**s_mp / mp.gamma(s_mp)
+        # a Gaussian theta sum at c > 0 is at most (1 + e^-c)/(1 - e^-c)
+        e_p = mp.e ** -(mp.pi * alpha * lam_primal / 2)
+        e_d = mp.e ** -(mp.pi * lam_dual / (2 * alpha))
+        theta_p = (1 + e_p) / (1 - e_p)
+        theta_d = (1 + e_d) / (1 - e_d)
         t_cut = max(40.0, 4.0 * (s - 1.0))
         for _ in range(12):
             r_primal = int(mp.ceil(t_cut / (mp.pi * alpha)))
@@ -207,8 +212,6 @@ def epstein_zeta(
             value = front * total
             # excluded terms have exponent above t_cut; bound each tail by
             # e^(-t/2) times a full Gaussian theta sum
-            theta_p = _theta_bound(mp.pi * alpha * lam_primal / 2)
-            theta_d = _theta_bound(mp.pi * lam_dual / (2 * alpha))
             tail = front * mp.e ** (-t_cut / 2) * (
                 (2 * alpha**s_mp / t_cut) * (theta_p**2 - 1)
                 + (alpha ** (s_mp + 1) / (delta * t_cut)) * (theta_d**2 - 1)
@@ -222,12 +225,6 @@ def epstein_zeta(
                 )
             t_cut *= 2
     raise ValueError(f"did not reach rel_tol={rel_tol} for {L} at s={s}")
-
-
-def _theta_bound(c: mp.mpf) -> mp.mpf:
-    """Upper bound (1 + e^-c)/(1 - e^-c) for the Gaussian theta sum at c > 0."""
-    e = mp.e**-c
-    return (1 + e) / (1 - e)
 
 
 def epstein_zeta_direct(

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -372,6 +373,73 @@ class TestClassesAndIndexSet:
         assert time.perf_counter() - start < 1.0
         assert code == 1 and out == ""
         assert "above the index-set bound" in err and "Traceback" not in err
+
+
+class TestSizeLimits:
+    # (argv before the value, type function, bound, its name, the work refused)
+    LIMITS = [
+        (["tree", "--cmax"], cli._cmax, cli.MAX_CMAX, "--cmax", "generate_tree"),
+        (["classes", "--cmax"], cli._cmax, cli.MAX_CMAX, "--cmax", "admissible_params"),
+        (["oracle"], cli._oracle_jmax, cli.MAX_ORACLE_JMAX, "oracle", "_oracle_workers"),
+    ]
+
+    @pytest.mark.parametrize("argv, parse, bound, what, work", LIMITS,
+                             ids=["tree", "classes", "oracle"])
+    def test_bound(self, capsys, monkeypatch, argv, parse, bound, what, work):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{work} started above the bound")
+
+        monkeypatch.setattr(cli, work, refuse)
+        assert parse(str(bound)) == bound
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv, str(bound + 1))
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out == ""
+        assert f"is above the {what} bound {bound}" in err and "Traceback" not in err
+
+
+class TestDeferredImports:
+    # mpmath and the process pool are about a third of start-up; only `snr`
+    # and a parallel `oracle` may load them
+    HEAVY = ("mpmath", "concurrent.futures", "multiprocessing")
+    PROBE = (
+        "import json, sys\n"
+        "from hexwr.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "sys.stdout.flush()\n"
+        "print(json.dumps([code, sorted(sys.modules)]), file=sys.stderr)\n"
+    )
+
+    def fresh(self, *argv, **env):
+        """Exit code, stdout and loaded module names of argv in a new interpreter."""
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", self.PROBE, *argv], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": path, **env})
+        code, modules = json.loads(proc.stderr.splitlines()[-1])
+        return code, proc.stdout, set(modules)
+
+    @pytest.mark.parametrize("argv", [
+        ["count", "1"],
+        ["maxmin", "45"],
+        ["index-set", "--jmax", "100"],
+        ["classes", "--cmax", "50"],
+        ["tree", "--cmax", "50"],
+    ], ids=" ".join)
+    def test_exact_commands_load_neither(self, argv):
+        code, _, modules = self.fresh(*argv)
+        assert code == 0
+        assert [name for name in self.HEAVY if name in modules] == []
+
+    def test_serial_oracle_starts_no_pool(self):
+        code, out, modules = self.fresh("oracle", "20", HEXWR_THREADS="1")
+        assert (code, out) == (0, "OK: 20/20 indices agree\n")
+        assert [name for name in self.HEAVY if name in modules] == []
+
+    def test_snr_loads_mpmath(self, capsys):
+        code, out, modules = self.fresh("snr", "84")
+        assert code == 0 and "mpmath" in modules
+        assert run_cli(capsys, "snr", "84") == (0, out, "")
 
 
 class TestSharedParser:
