@@ -10,8 +10,15 @@ import sys
 from fractions import Fraction
 from functools import cache
 from itertools import compress
+from typing import NamedTuple
 
-from .enumeration import IndexRepresentation, counts_up_to, list_representations, wr_survey
+from .enumeration import (
+    IndexRepresentation,
+    WrClassRecord,
+    counts_up_to,
+    list_representations,
+    wr_scan,
+)
 from .errors import InvariantViolation
 from .lattice import ClassParams
 from .optimizer import REL_TOL_FLOOR, max_min, rank_by_snr
@@ -32,10 +39,11 @@ MAX_INDEX_SET_JMAX = 10**6
 # linearly in cmax. At 10**6 tree takes 6.9-8.4 s and up to 259 MB (json),
 # classes 1.6-3.1 s and up to 274 MB (json).
 MAX_CMAX = 10**6
-# largest `oracle` jmax: it reduces about 0.82 jmax**2 sublattices. 1000
-# takes 4.4 s on 2 workers and 5.6 s on one; 1500 takes 9.3 s on 2 workers,
-# so one worker would pass 10 s there. Each process stays under 20 MB.
-MAX_ORACLE_JMAX = 1000
+# largest `oracle` jmax: one scan of the vectors of norm <= jmax finds about
+# 7 jmax reduced bases, then list_representations runs once per index.
+# 10**4 takes 1.1-1.2 s and 24 MB in every format; 10**5 takes 11.2-11.6 s
+# and 100 MB.
+MAX_ORACLE_JMAX = 10**4
 
 
 class _UsageError(Exception):
@@ -251,15 +259,27 @@ def cmd_tree(args) -> int:
     return 0
 
 
-def _oracle_check(J: int) -> tuple[int, int, int, int | None, int | None, list, list]:
-    """Class counts and maxima of survey and parameterization at J, and the
-    (cosine, minimum) entries that only the survey or only the parameterization found."""
-    enumerated = {Fraction(rec.cos_num, rec.cos_den): rec.minimum for rec in wr_survey(J)}
+class _OracleRow(NamedTuple):
+    """Scan against parameterization at one index; the field names are the json keys."""
+
+    J: int
+    enumerated_classes: int
+    parameterized_classes: int
+    enumerated_max: int | None
+    parameterized_max: int | None
+    only_enumerated: list  # (cosine, minimum) entries only the scan found
+    only_parameterized: list  # and those only the parameterization found
+
+
+def _oracle_check(J: int, records: tuple[WrClassRecord, ...]) -> _OracleRow:
+    """Compare the scan's records of index J with list_representations(J)."""
+    enumerated = {Fraction(rec.cos_num, rec.cos_den): rec.minimum for rec in records}
     parameterized = {rep.params.cosine: rep.minimum for rep in list_representations(J)}
-    return (J, len(enumerated), len(parameterized), max(enumerated.values(), default=None),
-            max(parameterized.values(), default=None),
-            sorted(enumerated.items() - parameterized.items()),
-            sorted(parameterized.items() - enumerated.items()))
+    return _OracleRow(J, len(enumerated), len(parameterized),
+                      max(enumerated.values(), default=None),
+                      max(parameterized.values(), default=None),
+                      sorted(enumerated.items() - parameterized.items()),
+                      sorted(parameterized.items() - enumerated.items()))
 
 
 def _class_entry(entry: tuple[Fraction, int]) -> dict:
@@ -267,65 +287,34 @@ def _class_entry(entry: tuple[Fraction, int]) -> dict:
     return {"cos_den": cos.denominator, "cos_num": cos.numerator, "minimum": minimum}
 
 
-def _oracle_workers(jmax: int) -> int:
-    """Worker processes for an oracle scan: HEXWR_THREADS, at most one per CPU and per index."""
-    workers = min(max(1, os.cpu_count() or 1), jmax)
-    raw = os.environ.get("HEXWR_THREADS", "")
-    if raw.strip():
-        try:
-            threads = int(raw)
-        except ValueError:
-            raise _UsageError(f"HEXWR_THREADS={raw!r} is not an integer")
-        workers = min(workers, max(1, threads))
-    return workers
-
-
 def cmd_oracle(args) -> int:
     jmax = args.jmax
-    workers = _oracle_workers(jmax)
-    indices = range(1, jmax + 1)
-    if workers == 1:
-        results = [_oracle_check(J) for J in indices]
-    else:
-        # loaded here: it pulls in multiprocessing, which no other command needs
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk = max(1, jmax // (4 * workers))
-            results = list(pool.map(_oracle_check, indices, chunksize=chunk))
-    results.sort(key=lambda r: r[0])
-    bad = [r for r in results if r[5] or r[6]]
+    results = [_oracle_check(J, records) for J, records in wr_scan(jmax).items()]
+    bad = [r for r in results if r.only_enumerated or r.only_parameterized]
     if args.format == "json":
         _print_json(
             {
                 "agree": not bad,
                 "checked": len(results),
                 "disagreements": [
-                    {
-                        "J": J,
-                        "enumerated_classes": ec,
-                        "enumerated_max": em,
-                        "only_enumerated": [_class_entry(e) for e in oe],
-                        "only_parameterized": [_class_entry(e) for e in op],
-                        "parameterized_classes": pc,
-                        "parameterized_max": pm,
-                    }
-                    for J, ec, pc, em, pm, oe, op in bad
+                    dict(r._asdict(),
+                         only_enumerated=[_class_entry(e) for e in r.only_enumerated],
+                         only_parameterized=[_class_entry(e) for e in r.only_parameterized])
+                    for r in bad
                 ],
                 "j_max": jmax,
             }
         )
     elif args.format == "csv":
-        _print_csv(
-            ["J", "enumerated_classes", "parameterized_classes",
-             "enumerated_max", "parameterized_max"],
-            [[str(J), str(ec), str(pc), "" if em is None else str(em),
-              "" if pm is None else str(pm)] for J, ec, pc, em, pm, _, _ in results],
-        )
+        # the columns are the first five fields: J, the class counts and the maxima
+        _print_csv(list(_OracleRow._fields[:5]),
+                   [["" if v is None else str(v) for v in r[:5]] for r in results])
     elif bad:
-        for J, ec, pc, em, pm, oe, op in bad:
-            print(f"J={J}: classes {ec} vs {pc}, max minimum {em} vs {pm}")
-            for side, entries in (("enumerated", oe), ("parameterized", op)):
+        for r in bad:
+            print(f"J={r.J}: classes {r.enumerated_classes} vs {r.parameterized_classes}, "
+                  f"max minimum {r.enumerated_max} vs {r.parameterized_max}")
+            for side, entries in (("enumerated", r.only_enumerated),
+                                  ("parameterized", r.only_parameterized)):
                 for cos, minimum in entries:
                     print(f"  only {side}: cos {cos}, minimum {minimum}")
         print(f"DISAGREE: {len(bad)}/{len(results)} indices differ")

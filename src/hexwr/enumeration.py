@@ -3,9 +3,12 @@
 A similarity class (m, n) contributes a sublattice of index J exactly when
 J = k * n(2m - n) where the scale factor k factors as 3^u * j^2 * d with
 u in {0, 1} and d a squarefree product of primes congruent to 1 mod 3.
-This module lists such representations, counts them, and checks them
-against a brute-force survey of all index-J sublattices in Hermite normal
-form.
+This module lists such representations and counts them.  Two brute forces,
+independent of that parameterization, check them: wr_survey reduces every
+index-J sublattice in Hermite normal form, and wr_scan finds the reduced
+bases of every well-rounded sublattice of index up to X among the lattice
+vectors of norm up to X.  No serving command runs either: `hexwr oracle`
+runs wr_scan, and the tests and the benchmark checks call wr_survey.
 """
 
 from __future__ import annotations
@@ -24,7 +27,9 @@ from .lattice import (
     ClassParams,
     HexSublattice,
     angle_data,
+    dot2,
     gamma_theta,
+    norm_form,
     successive_minima,
 )
 from .triples import is_admissible
@@ -39,6 +44,7 @@ __all__ = [
     "hnf_sublattices",
     "WrClassRecord",
     "wr_survey",
+    "wr_scan",
     "count_classes_bruteforce",
 ]
 
@@ -230,40 +236,105 @@ class WrClassRecord(NamedTuple):
     witness: HexSublattice
 
 
-@lru_cache(maxsize=1024)  # bounded: only the oracle and the tests read it
-def wr_survey(J: int) -> tuple[WrClassRecord, ...]:
-    """Brute-force scan of index J, grouped by angle, best minimum first.
+def _ordered_records(
+    J: int, found: dict[tuple[int, int, int], list]
+) -> tuple[WrClassRecord, ...]:
+    """Index-J records from {(cos_num, cos_den, minimum): [members, witness]}, best minimum first.
 
-    Within a fixed index, angle and minimum determine each other, so
-    records are strictly ordered by minimum; a tie would falsify that
-    correspondence and raises InvariantViolation.
+    Within a fixed index, angle and minimum determine each other (an angle
+    theta and minimum M give 3 J^2 = 4 M^2 sin^2 theta), so one angle with
+    two minima, or two angles with one minimum, raises InvariantViolation.
     """
-    by_cos: dict[tuple[int, int], list] = {}
-    for L in hnf_sublattices(J):
-        m1, m2 = successive_minima(L)
-        if m1 != m2:
-            continue
-        data = angle_data(L)
-        key = (data.cos_num, data.cos_den)
-        rec = by_cos.get(key)
-        if rec is None:
-            by_cos[key] = [m1, 1, L]
-        else:
-            if rec[0] != m1:
-                raise InvariantViolation(
-                    f"index {J}: same angle {key} with different minima {rec[0]}, {m1}"
-                )
-            rec[1] += 1
     records = sorted(
-        (WrClassRecord(k[0], k[1], v[0], v[1], v[2]) for k, v in by_cos.items()),
+        (WrClassRecord(*key, *value) for key, value in found.items()),
         key=lambda r: -r.minimum,
     )
+    seen: dict[tuple[int, int], int] = {}
+    for r in records:
+        key = (r.cos_num, r.cos_den)
+        if key in seen:
+            raise InvariantViolation(
+                f"index {J}: same angle {key} with different minima {seen[key]}, {r.minimum}"
+            )
+        seen[key] = r.minimum
     for r1, r2 in zip(records, records[1:]):
         if r1.minimum == r2.minimum:
             raise InvariantViolation(
                 f"index {J}: two angles share the minimum {r1.minimum}"
             )
     return tuple(records)
+
+
+@lru_cache(maxsize=1024)  # bounded: the tests and the benchmark checks read it
+def wr_survey(J: int) -> tuple[WrClassRecord, ...]:
+    """Brute-force scan of index J, grouped by angle, best minimum first.
+
+    Reduces each of the sigma(J) sublattices in Hermite normal form.  Records
+    are strictly ordered by minimum (see _ordered_records).
+    """
+    found: dict[tuple[int, int, int], list] = {}
+    for L in hnf_sublattices(J):
+        m1, m2 = successive_minima(L)
+        if m1 != m2:
+            continue
+        data = angle_data(L)
+        rec = found.setdefault((data.cos_num, data.cos_den, m1), [0, L])
+        rec[0] += 1
+    return _ordered_records(J, found)
+
+
+def wr_scan(X: int) -> dict[int, tuple[WrClassRecord, ...]]:
+    """Brute-force records of every index J <= X from one pass over short vectors.
+
+    A lattice is well-rounded with minimum M exactly when it has a basis
+    (v, w) with |v|^2 = |w|^2 = M and 0 <= 2<v, w> <= M, for such a basis is
+    Lagrange-reduced.  With J = det(v, w) > 0 and p = 2<v, w>, the angle
+    identity p^2 + 3 J^2 = 4 M^2 and 0 < p <= M put the minimum in
+    sqrt(3)/2 * J < M <= J, so the vectors of norm <= X hold a basis of
+    every well-rounded sublattice of index <= X.  Bucketing them by norm,
+    the pairs within a bucket with det in (0, X] and that inner product are
+    all such bases, 71,310 at X = 10^4.  A lattice of cosine 1/2 has 6 of
+    them (its unit rotations), any other 2 (v, w and -v, -w); a remainder
+    raises InvariantViolation.  The witness of a record is the first basis
+    found.  Every J in 1..X is a key, () where no sublattice is well-rounded.
+    """
+    if X < 1:
+        raise ValueError(f"X={X} must be positive")
+    by_norm: dict[int, list[tuple[int, int]]] = {}
+    # a^2 - ab + b^2 <= X has real a exactly when 3 b^2 <= 4 X
+    for b in range(-math.isqrt(4 * X // 3), math.isqrt(4 * X // 3) + 1):
+        r = math.isqrt(4 * X - 3 * b * b)
+        for a in range((b - r + 1) // 2, (b + r) // 2 + 1):
+            by_norm.setdefault(norm_form(a, b), []).append((a, b))
+    del by_norm[0]
+    found: dict[int, dict[tuple[int, int, int], list]] = {}
+    for M, vectors in by_norm.items():
+        for a, b in vectors:
+            for c, d in vectors:
+                J = a * d - c * b
+                if 0 < J <= X:
+                    p = dot2(a, b, c, d)
+                    if 0 <= p <= M:
+                        g = math.gcd(p, 2 * M)
+                        key = (p // g, 2 * M // g, M)
+                        by_key = found.setdefault(J, {})
+                        if key in by_key:
+                            by_key[key][0] += 1
+                        else:
+                            by_key[key] = [1, HexSublattice(a, b, c, d)]
+    scan = {}
+    for J in range(1, X + 1):
+        by_key = found.get(J, {})
+        for key, rec in by_key.items():
+            bases = 6 if key[:2] == (1, 2) else 2
+            if rec[0] % bases:
+                raise InvariantViolation(
+                    f"index {J}: {rec[0]} bases of cosine {key[0]}/{key[1]}, "
+                    f"not a multiple of {bases}"
+                )
+            rec[0] //= bases
+        scan[J] = _ordered_records(J, by_key)
+    return scan
 
 
 def count_classes_bruteforce(J: int) -> int:

@@ -209,21 +209,12 @@ class TestTree:
 
 
 class TestOracle:
-    def test_small_scan_agrees(self, capsys, monkeypatch):
-        monkeypatch.setenv("HEXWR_THREADS", "1")
+    def test_small_scan_agrees(self, capsys):
         code, out, _ = run_cli(capsys, "oracle", "60")
         assert code == 0
         assert out.strip() == "OK: 60/60 indices agree"
 
-    def test_parallel_matches_serial(self, capsys, monkeypatch):
-        monkeypatch.setenv("HEXWR_THREADS", "1")
-        _, serial, _ = run_cli(capsys, "oracle", "40", "--format", "csv")
-        monkeypatch.setenv("HEXWR_THREADS", "4")
-        _, parallel, _ = run_cli(capsys, "oracle", "40", "--format", "csv")
-        assert serial == parallel
-
-    def test_json(self, capsys, monkeypatch):
-        monkeypatch.setenv("HEXWR_THREADS", "1")
+    def test_json(self, capsys):
         code, out, _ = run_cli(capsys, "oracle", "25", "--format", "json")
         assert code == 0
         obj = json.loads(out)
@@ -231,7 +222,6 @@ class TestOracle:
         assert obj["checked"] == 25 and obj["disagreements"] == []
 
     def test_disagreement_is_fatal(self, capsys, monkeypatch):
-        monkeypatch.setenv("HEXWR_THREADS", "1")
         real = cli.list_representations
         # one extra class at index 5, which has none
         monkeypatch.setattr(
@@ -244,7 +234,6 @@ class TestOracle:
     def test_angle_disagreement_is_fatal(self, capsys, monkeypatch):
         # index 84 has two classes; moving the angle of the smaller one keeps
         # both the class count and the maximal minimum
-        monkeypatch.setenv("HEXWR_THREADS", "1")
         real = cli.list_representations
         last = real(84)[-1]
         cos, fake_cos = last.params.cosine, last.params.cosine + Fraction(1, 1000)
@@ -277,25 +266,6 @@ class TestOracle:
              "minimum": last.minimum}
         ]
 
-    def test_workers_clamped_to_cpus(self, monkeypatch):
-        # computes the worker count only; no pool is started
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-        monkeypatch.setenv("HEXWR_THREADS", "5000")
-        assert cli._oracle_workers(5000) == 2
-        assert cli._oracle_workers(1) == 1
-        monkeypatch.setenv("HEXWR_THREADS", "1")
-        assert cli._oracle_workers(5000) == 1
-        monkeypatch.delenv("HEXWR_THREADS")
-        assert cli._oracle_workers(5000) == 2
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
-        assert cli._oracle_workers(5000) == 1
-
-    def test_bad_thread_setting(self, capsys, monkeypatch):
-        monkeypatch.setenv("HEXWR_THREADS", "soon")
-        code, _, err = run_cli(capsys, "oracle", "5")
-        assert code == 1
-        assert "HEXWR_THREADS" in err
-
 
 class TestServingPath:
     COMMANDS = [
@@ -314,7 +284,10 @@ class TestServingPath:
         def refuse(J):
             raise RuntimeError(f"brute-force scan of index {J} on a serving path")
 
+        # both brute forces: the per-index survey and the whole-range scan
         monkeypatch.setattr(enumeration, "hnf_sublattices", refuse)
+        monkeypatch.setattr(enumeration, "wr_scan", refuse)
+        monkeypatch.setattr(cli, "wr_scan", refuse)
         for argv, (code, out, _) in zip(self.COMMANDS, want):
             assert code == 0, argv
             assert run_cli(capsys, *argv, "--format", "json")[:2] == (0, out), argv
@@ -380,7 +353,7 @@ class TestSizeLimits:
     LIMITS = [
         (["tree", "--cmax"], cli._cmax, cli.MAX_CMAX, "--cmax", "generate_tree"),
         (["classes", "--cmax"], cli._cmax, cli.MAX_CMAX, "--cmax", "admissible_params"),
-        (["oracle"], cli._oracle_jmax, cli.MAX_ORACLE_JMAX, "oracle", "_oracle_workers"),
+        (["oracle"], cli._oracle_jmax, cli.MAX_ORACLE_JMAX, "oracle", "wr_scan"),
     ]
 
     @pytest.mark.parametrize("argv, parse, bound, what, work", LIMITS,
@@ -400,7 +373,7 @@ class TestSizeLimits:
 
 class TestDeferredImports:
     # mpmath and the process pool are about a third of start-up; only `snr`
-    # and a parallel `oracle` may load them
+    # may load them
     HEAVY = ("mpmath", "concurrent.futures", "multiprocessing")
     PROBE = (
         "import json, sys\n"
@@ -410,12 +383,12 @@ class TestDeferredImports:
         "print(json.dumps([code, sorted(sys.modules)]), file=sys.stderr)\n"
     )
 
-    def fresh(self, *argv, **env):
+    def fresh(self, *argv):
         """Exit code, stdout and loaded module names of argv in a new interpreter."""
         src = str(Path(cli.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run([sys.executable, "-c", self.PROBE, *argv], capture_output=True,
-                              text=True, env={**os.environ, "PYTHONPATH": path, **env})
+                              text=True, env={**os.environ, "PYTHONPATH": path})
         code, modules = json.loads(proc.stderr.splitlines()[-1])
         return code, proc.stdout, set(modules)
 
@@ -431,9 +404,9 @@ class TestDeferredImports:
         assert code == 0
         assert [name for name in self.HEAVY if name in modules] == []
 
-    def test_serial_oracle_starts_no_pool(self):
-        code, out, modules = self.fresh("oracle", "20", HEXWR_THREADS="1")
-        assert (code, out) == (0, "OK: 20/20 indices agree\n")
+    def test_oracle_loads_neither(self):
+        code, out, modules = self.fresh("oracle", "1000")
+        assert (code, out) == (0, "OK: 1000/1000 indices agree\n")
         assert [name for name in self.HEAVY if name in modules] == []
 
     def test_snr_loads_mpmath(self, capsys):

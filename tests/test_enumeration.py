@@ -1,4 +1,4 @@
-"""Tests for index representations, counting, and the brute-force survey."""
+"""Tests for index representations, counting, and the two brute forces."""
 
 import math
 import random
@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from hexwr.enumeration import (
     IndexRepresentation,
+    _ordered_records,
     count_N,
     count_classes_bruteforce,
     counts_up_to,
@@ -18,10 +19,13 @@ from hexwr.enumeration import (
     hnf_sublattices,
     index_set_member,
     list_representations,
+    wr_scan,
     wr_survey,
 )
+from hexwr.errors import InvariantViolation
 from hexwr.lattice import (
     ClassParams,
+    HexSublattice,
     angle_data,
     class_of,
     is_well_rounded,
@@ -273,6 +277,60 @@ class TestSurveyAgreement:
         for rec in wr_survey(84):
             params = class_of(rec.witness)
             assert params.cosine == Fraction(rec.cos_num, rec.cos_den)
+
+
+class TestScan:
+    # wr_scan is the whole-range brute force behind `hexwr oracle`; wr_survey
+    # reduces every Hermite-normal-form sublattice of one index and is the reference
+    X = 2000
+
+    @pytest.fixture(scope="class")
+    def scan(self):
+        return wr_scan(self.X)
+
+    def test_matches_survey(self, scan):
+        def fields(records):
+            return [(r.cos_num, r.cos_den, r.minimum, r.members) for r in records]
+
+        for J in range(1, 301):
+            assert fields(scan[J]) == fields(wr_survey(J)), J
+
+    def test_witnesses(self, scan):
+        for J, records in scan.items():
+            for rec in records:
+                L = rec.witness
+                assert L.det == J
+                assert is_well_rounded(L) and minimum(L) == rec.minimum
+                data = angle_data(L)
+                assert (data.cos_num, data.cos_den) == (rec.cos_num, rec.cos_den)
+
+    def test_minimum_interval(self, scan):
+        # sqrt(3)/2 J < M <= J, which is why the vectors of norm <= X suffice
+        for J, records in scan.items():
+            for rec in records:
+                assert 3 * J * J < 4 * rec.minimum**2 and rec.minimum <= J
+
+    def test_class_counts(self, scan):
+        counts = counts_up_to(self.X)
+        assert list(scan) == list(range(1, self.X + 1))
+        assert [len(scan[J]) for J in scan] == counts[1:]
+
+    def test_small_bounds(self):
+        (rec,) = wr_scan(1)[1]
+        assert (rec.cos_num, rec.cos_den, rec.minimum, rec.members) == (1, 2, 1, 1)
+        assert wr_scan(2)[2] == ()
+        with pytest.raises(ValueError):
+            wr_scan(0)
+
+    def test_ordering_checks(self):
+        # the ordering helper shared by wr_survey and wr_scan
+        L = HexSublattice(1, 0, 0, 1)
+        with pytest.raises(InvariantViolation, match="same angle"):
+            _ordered_records(7, {(1, 7, 7): [1, L], (1, 7, 6): [1, L]})
+        with pytest.raises(InvariantViolation, match="share the minimum"):
+            _ordered_records(7, {(1, 7, 7): [1, L], (1, 2, 7): [1, L]})
+        records = _ordered_records(7, {(1, 7, 6): [3, L], (1, 2, 7): [1, L]})
+        assert [r.minimum for r in records] == [7, 6]
 
 
 class TestMinimality:
