@@ -15,6 +15,7 @@ from typing import NamedTuple
 from .enumeration import (
     IndexRepresentation,
     WrClassRecord,
+    count_N,
     counts_up_to,
     list_representations,
     wr_scan,
@@ -26,11 +27,13 @@ from .triples import admissible_params, generate_tree, node_id
 
 # the eleven classical small indices replayed by `maxmin --table1`
 TABLE1_INDICES = (8, 15, 21, 24, 32, 35, 40, 45, 55, 60, 65)
-# deepest `tree --depth` served without --cmax: (5^D + 1)/2 nodes, 195,313 at D = 8
-MAX_DEPTH_WITHOUT_CMAX = 8
-# Size limits, each refused by argparse (exit 1) before any work starts.
+# Size limits, each refused (exit 1) before any work starts.
 # Every accepted input stays within 10 s and 500 MB peak RSS; figures are for
 # a fresh process with stdout to /dev/null on a 2-core host with Python 3.11.
+# deepest `tree --depth` served without --cmax: (5^D + 1)/2 nodes, 195,313 at
+# D = 8, which takes 4.3-5.0 s and up to 366 MB in json and 3.1-3.9 s and
+# 121 MB in table, csv and dot.
+MAX_DEPTH_WITHOUT_CMAX = 8
 # largest `index-set --jmax`: the sieve and the output hold O(jmax) memory.
 # 10**6 runs in at most 1.3 s and 100 MB in every format; 10**7 takes up
 # to 11.6 s and 783 MB (csv).
@@ -44,6 +47,15 @@ MAX_CMAX = 10**6
 # 10**4 takes 1.1-1.2 s and 24 MB in every format; 10**5 takes 11.2-11.6 s
 # and 100 MB.
 MAX_ORACLE_JMAX = 10**4
+# largest J for `count`, `maxmin` and `snr`: trial division takes up to
+# sqrt(J) steps, and a prime J = 1 mod 3 is factored twice per listing. At
+# the prime 99999999999973 count and maxmin take 1.6-1.9 s and snr 2.9-3.6 s,
+# all under 21 MB.
+MAX_INDEX = 10**14
+# most classes `snr` ranks, counted before any zeta value: each class costs
+# one zeta value of about 35 ms. 5298757915948 has 200 classes and takes
+# 6.5-7.5 s and 21 MB; 161452242588 has 250 and takes 8.8-8.9 s.
+MAX_SNR_CLASSES = 200
 
 
 class _UsageError(Exception):
@@ -82,6 +94,7 @@ def _bounded_int(limit: int, what: str):
 _index_set_jmax = _bounded_int(MAX_INDEX_SET_JMAX, "index-set")
 _cmax = _bounded_int(MAX_CMAX, "--cmax")
 _oracle_jmax = _bounded_int(MAX_ORACLE_JMAX, "oracle")
+_index = _bounded_int(MAX_INDEX, "index")
 
 
 def _zeta_tol(text: str) -> float:
@@ -94,23 +107,30 @@ def _zeta_tol(text: str) -> float:
     return value
 
 
-def _print_table(header: list[str], rows: list[list[str]]) -> None:
-    widths = [len(h) for h in header]
-    for row in rows:
-        widths = [max(w, len(cell)) for w, cell in zip(widths, row)]
-    print("  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip())
-    for row in rows:
-        print("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
+def _emit(fmt: str, header, rows, doc, lead=(), table: bool = True) -> None:
+    """Print one answer in fmt, building only what that format shows.
 
-
-def _print_csv(header: list[str], rows: list[list[str]]) -> None:
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-
-
-def _print_json(obj) -> None:
-    print(json.dumps(obj, indent=2, sort_keys=True))
+    json prints doc() with sorted keys; csv prints header, then rows (lists
+    of strings, possibly a generator); table prints the lead lines, then the
+    rows aligned in columns when table is true.
+    """
+    if fmt == "json":
+        print(json.dumps(doc(), indent=2, sort_keys=True))
+        return
+    if fmt == "csv":
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        return
+    for line in lead:
+        print(line)
+    if table:
+        rows = list(rows)
+        widths = [len(h) for h in header]
+        for row in rows:
+            widths = [max(w, len(cell)) for w, cell in zip(widths, row)]
+        for row in [header, *rows]:
+            print("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
 
 
 def _witness_name(rep: IndexRepresentation) -> str:
@@ -132,108 +152,56 @@ def _witness_name(rep: IndexRepresentation) -> str:
 def cmd_count(args) -> int:
     reps = list_representations(args.J)
     header = ["u", "j", "d", "m", "n", "k", "minimum"]
-    rows = [
-        [str(v) for v in (r.u, r.j, r.d, r.params.m, r.params.n, r.k, r.minimum)]
-        for r in reps
-    ]
-    if args.format == "json":
-        _print_json(
-            {
-                "J": args.J,
-                "count": len(reps),
-                "representations": [
-                    dict(r.to_json_obj(), k=r.k, minimum=r.minimum) for r in reps
-                ],
-            }
-        )
-    elif args.format == "csv":
-        _print_csv(header, rows)
-    else:
-        print(f"N({args.J}) = {len(reps)}")
-        if rows:
-            _print_table(header, rows)
+    records = [(r.u, r.j, r.d, r.params.m, r.params.n, r.k, r.minimum) for r in reps]
+    _emit(args.format, header, ([str(v) for v in rec] for rec in records),
+          lambda: {"J": args.J, "count": len(reps),
+                   "representations": [dict(zip(header, rec)) for rec in records]},
+          lead=[f"N({args.J}) = {len(reps)}"], table=bool(reps))
     return 0
-
-
-def _maxmin_row(J: int):
-    res = max_min(J)
-    return res, [_witness_name(w) for w in res.witnesses]
 
 
 def cmd_maxmin(args) -> int:
     if args.table1 == (args.J is not None):
         raise _UsageError("give exactly one of J or --table1")
+    header = ["J", "max_minimum", "lattice"]
     if args.table1:
-        header = ["J", "max_minimum", "lattice"]
-        rows = []
-        json_rows = []
+        records = []
         for J in TABLE1_INDICES:
-            res, names = _maxmin_row(J)
-            lattice = "; ".join(names)
-            rows.append([str(J), str(res.best_minimum), lattice])
-            json_rows.append({"J": J, "lattice": lattice, "max_minimum": res.best_minimum})
-        if args.format == "json":
-            _print_json({"rows": json_rows})
-        elif args.format == "csv":
-            _print_csv(header, rows)
-        else:
-            _print_table(header, rows)
+            res = max_min(J)
+            records.append((J, res.best_minimum, "; ".join(map(_witness_name, res.witnesses))))
+        _emit(args.format, header, ([str(v) for v in rec] for rec in records),
+              lambda: {"rows": [dict(zip(header, rec)) for rec in records]})
         return 0
-    res, names = _maxmin_row(args.J)
-    if args.format == "json":
-        _print_json(
-            {
-                "J": args.J,
-                "exists": res.exists,
-                "max_minimum": res.best_minimum,
-                "witnesses": [
-                    {"k": w.k, "lattice": name, "m": w.params.m, "n": w.params.n}
-                    for w, name in zip(res.witnesses, names)
-                ],
-            }
-        )
-    elif args.format == "csv":
-        _print_csv(
-            ["J", "max_minimum", "lattice"],
-            [[str(args.J), str(res.best_minimum) if res.exists else "", "; ".join(names)]],
-        )
-    elif res.exists:
-        print(f"max minimum of index-{args.J} well-rounded sublattices: {res.best_minimum}")
-        print(f"attained by {'; '.join(names)}")
+    res = max_min(args.J)
+    names = [_witness_name(w) for w in res.witnesses]
+    if res.exists:
+        lead = [f"max minimum of index-{args.J} well-rounded sublattices: {res.best_minimum}",
+                f"attained by {'; '.join(names)}"]
     else:
-        print(f"no well-rounded sublattice of index {args.J}")
+        lead = [f"no well-rounded sublattice of index {args.J}"]
+    _emit(args.format, header,
+          [[str(args.J), str(res.best_minimum) if res.exists else "", "; ".join(names)]],
+          lambda: {"J": args.J, "exists": res.exists, "max_minimum": res.best_minimum,
+                   "witnesses": [{"k": w.k, "lattice": name, "m": w.params.m, "n": w.params.n}
+                                 for w, name in zip(res.witnesses, names)]},
+          lead=lead, table=False)
     return 0
 
 
 def cmd_snr(args) -> int:
+    classes = count_N(args.J)
+    if classes > MAX_SNR_CLASSES:
+        raise _UsageError(f"index {args.J} has {classes} classes, "
+                          f"above the snr bound {MAX_SNR_CLASSES}")
     ranking = rank_by_snr(args.J, rel_tol=args.tol)
-    header = ["rank", "m", "n", "minimum", "snr_db", "error_bound"]
-    rows = [
-        [str(i + 1), str(p.m), str(p.n), str(mini), f"{s.db:.9f}", f"{s.abs_error_bound:.2e}"]
-        for i, (p, mini, s) in enumerate(ranking)
-    ]
-    if args.format == "json":
-        _print_json(
-            {
-                "J": args.J,
-                "ranking": [
-                    {
-                        "abs_error_bound": s.abs_error_bound,
-                        "m": p.m,
-                        "minimum": mini,
-                        "n": p.n,
-                        "snr_db": s.db,
-                    }
-                    for p, mini, s in ranking
-                ],
-            }
-        )
-    elif args.format == "csv":
-        _print_csv(header, rows)
-    elif ranking:
-        _print_table(header, rows)
-    else:
-        print(f"no well-rounded sublattice of index {args.J}")
+    _emit(args.format, ["rank", "m", "n", "minimum", "snr_db", "error_bound"],
+          ([str(i + 1), str(p.m), str(p.n), str(mini), f"{s.db:.9f}", f"{s.abs_error_bound:.2e}"]
+           for i, (p, mini, s) in enumerate(ranking)),
+          lambda: {"J": args.J,
+                   "ranking": [{"abs_error_bound": s.abs_error_bound, "m": p.m, "minimum": mini,
+                                "n": p.n, "snr_db": s.db} for p, mini, s in ranking]},
+          lead=[] if ranking else [f"no well-rounded sublattice of index {args.J}"],
+          table=bool(ranking))
     return 0
 
 
@@ -244,18 +212,32 @@ def cmd_tree(args) -> int:
         raise _UsageError(f"--depth above {MAX_DEPTH_WITHOUT_CMAX} needs --cmax")
     tree = generate_tree(c_max=args.cmax, max_depth=args.depth)
     if args.format == "dot":
-        print(tree.to_dot())
-    elif args.format == "json":
-        _print_json(tree.to_json_obj())
-    else:
-        edge_rows = [[node_id(p), label, node_id(q)] for p, label, q in tree.edges]
-        if args.format == "csv":
-            _print_csv(["from", "label", "to"], edge_rows)
-        else:
-            print(f"nodes: {len(tree.nodes)}")
-            print(f"edges: {len(tree.edges)}")
-            for src, label, dst in edge_rows:
-                print(f"{src} -{label}-> {dst}")
+        print("digraph pairs {")
+        for p in tree.nodes:
+            print(f'  "{node_id(p)}";')
+        for p, label, q in tree.edges:
+            print(f'  "{node_id(p)}" -> "{node_id(q)}" [label="{label}"];')
+        print("}")
+        return 0
+    header = ["from", "label", "to"]
+    edge_rows = ([node_id(p), label, node_id(q)] for p, label, q in tree.edges)
+
+    def doc():
+        obj = {"nodes": [node_id(p) for p in tree.nodes],
+               "edges": [dict(zip(header, row)) for row in edge_rows]}
+        if args.cmax is not None:
+            obj["c_max"] = args.cmax
+        if args.depth is not None:
+            obj["max_depth"] = args.depth
+        return obj
+
+    def lead():
+        yield f"nodes: {len(tree.nodes)}"
+        yield f"edges: {len(tree.edges)}"
+        for src, label, dst in edge_rows:
+            yield f"{src} -{label}-> {dst}"
+
+    _emit(args.format, header, edge_rows, doc, lead=lead(), table=False)
     return 0
 
 
@@ -282,44 +264,37 @@ def _oracle_check(J: int, records: tuple[WrClassRecord, ...]) -> _OracleRow:
                       sorted(parameterized.items() - enumerated.items()))
 
 
-def _class_entry(entry: tuple[Fraction, int]) -> dict:
-    cos, minimum = entry
-    return {"cos_den": cos.denominator, "cos_num": cos.numerator, "minimum": minimum}
-
-
 def cmd_oracle(args) -> int:
     jmax = args.jmax
     results = [_oracle_check(J, records) for J, records in wr_scan(jmax).items()]
     bad = [r for r in results if r.only_enumerated or r.only_parameterized]
-    if args.format == "json":
-        _print_json(
-            {
-                "agree": not bad,
-                "checked": len(results),
-                "disagreements": [
-                    dict(r._asdict(),
-                         only_enumerated=[_class_entry(e) for e in r.only_enumerated],
-                         only_parameterized=[_class_entry(e) for e in r.only_parameterized])
-                    for r in bad
-                ],
-                "j_max": jmax,
-            }
-        )
-    elif args.format == "csv":
-        # the columns are the first five fields: J, the class counts and the maxima
-        _print_csv(list(_OracleRow._fields[:5]),
-                   [["" if v is None else str(v) for v in r[:5]] for r in results])
-    elif bad:
+    sides = ("enumerated", "parameterized")  # the last two fields are only_<side>
+    lines = []
+    for r in bad:
+        lines.append(f"J={r.J}: classes {r.enumerated_classes} vs {r.parameterized_classes}, "
+                     f"max minimum {r.enumerated_max} vs {r.parameterized_max}")
+        for side, entries in zip(sides, r[5:]):
+            lines.extend(f"  only {side}: cos {cos}, minimum {minimum}" for cos, minimum in entries)
+    lines.append(f"DISAGREE: {len(bad)}/{len(results)} indices differ" if bad
+                 else f"OK: {len(results)}/{len(results)} indices agree")
+
+    def doc():
+        disagreements = []
         for r in bad:
-            print(f"J={r.J}: classes {r.enumerated_classes} vs {r.parameterized_classes}, "
-                  f"max minimum {r.enumerated_max} vs {r.parameterized_max}")
-            for side, entries in (("enumerated", r.only_enumerated),
-                                  ("parameterized", r.only_parameterized)):
-                for cos, minimum in entries:
-                    print(f"  only {side}: cos {cos}, minimum {minimum}")
-        print(f"DISAGREE: {len(bad)}/{len(results)} indices differ")
-    else:
-        print(f"OK: {len(results)}/{len(results)} indices agree")
+            row = r._asdict()
+            for side, entries in zip(sides, r[5:]):
+                row[f"only_{side}"] = [
+                    {"cos_den": cos.denominator, "cos_num": cos.numerator, "minimum": minimum}
+                    for cos, minimum in entries
+                ]
+            disagreements.append(row)
+        return {"agree": not bad, "checked": len(results), "disagreements": disagreements,
+                "j_max": jmax}
+
+    # the csv columns are the first five fields: J, the class counts and the maxima
+    _emit(args.format, _OracleRow._fields[:5],
+          (["" if v is None else str(v) for v in r[:5]] for r in results),
+          doc, lead=lines, table=False)
     return 2 if bad else 0
 
 
@@ -329,48 +304,28 @@ def cmd_classes(args) -> int:
         key=lambda p: (p.class_minimum, p.m),
     )
     cosines = [p.cosine for p in found]
-    if args.format == "json":
-        _print_json(
-            {
-                "c_max": args.cmax,
-                "classes": [
-                    {
-                        "class_minimum": p.class_minimum,
-                        "cos_den": cos.denominator,
-                        "cos_num": cos.numerator,
-                        "m": p.m,
-                        "minimal_index": p.minimal_index,
-                        "n": p.n,
-                    }
-                    for p, cos in zip(found, cosines)
-                ],
-                "count": len(found),
-            }
-        )
-    else:
-        header = ["m", "n", "class_minimum", "minimal_index", "cos"]
-        rows = [
-            [str(p.m), str(p.n), str(p.class_minimum), str(p.minimal_index),
-             f"{cos.numerator}/{cos.denominator}"]
-            for p, cos in zip(found, cosines)
-        ]
-        if args.format == "csv":
-            _print_csv(header, rows)
-        else:
-            print(f"similarity classes with minimum <= {args.cmax}: {len(found)}")
-            _print_table(header, rows)
+    _emit(args.format, ["m", "n", "class_minimum", "minimal_index", "cos"],
+          ([str(p.m), str(p.n), str(p.class_minimum), str(p.minimal_index),
+            f"{cos.numerator}/{cos.denominator}"] for p, cos in zip(found, cosines)),
+          lambda: {"c_max": args.cmax, "count": len(found),
+                   "classes": [{"class_minimum": p.class_minimum, "cos_den": cos.denominator,
+                                "cos_num": cos.numerator, "m": p.m,
+                                "minimal_index": p.minimal_index, "n": p.n}
+                               for p, cos in zip(found, cosines)]},
+          lead=[f"similarity classes with minimum <= {args.cmax}: {len(found)}"])
     return 0
 
 
 def cmd_index_set(args) -> int:
     members = list(compress(range(args.jmax + 1), counts_up_to(args.jmax)))
-    if args.format == "json":
-        _print_json({"count": len(members), "j_max": args.jmax, "members": members})
-    elif args.format == "csv":
-        _print_csv(["J"], [[str(J)] for J in members])
-    else:
-        print(f"realizable indices up to {args.jmax}: {len(members)}")
-        print(" ".join(str(J) for J in members))
+
+    def lead():
+        yield f"realizable indices up to {args.jmax}: {len(members)}"
+        yield " ".join(str(J) for J in members)
+
+    _emit(args.format, ["J"], ([str(J)] for J in members),
+          lambda: {"count": len(members), "j_max": args.jmax, "members": members},
+          lead=lead(), table=False)
     return 0
 
 
@@ -386,15 +341,15 @@ def _build_parser() -> _Parser:
         return p
 
     p = add("count", cmd_count, "count index-J similarity classes")
-    p.add_argument("J", type=_positive_int)
+    p.add_argument("J", type=_index)
 
     p = add("maxmin", cmd_maxmin, "maximal minimum at fixed index")
-    p.add_argument("J", type=_positive_int, nargs="?")
+    p.add_argument("J", type=_index, nargs="?")
     p.add_argument("--table1", action="store_true",
                    help="replay the eleven classical small-index rows")
 
     p = add("snr", cmd_snr, "rank index-J classes by signal-to-noise ratio")
-    p.add_argument("J", type=_positive_int)
+    p.add_argument("J", type=_index)
     p.add_argument("--tol", type=_zeta_tol, default=1e-9,
                    help="relative tolerance for the zeta values")
 

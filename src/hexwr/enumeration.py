@@ -89,15 +89,6 @@ class IndexRepresentation:
         """Minimum of the index-J member: k times the class minimum."""
         return self.k * self.params.class_minimum
 
-    def to_json_obj(self) -> dict:
-        return {
-            "u": self.u,
-            "j": self.j,
-            "d": self.d,
-            "m": self.params.m,
-            "n": self.params.n,
-        }
-
     def to_sublattice(self) -> HexSublattice:
         """A concrete index-J well-rounded sublattice realizing this entry.
 

@@ -378,37 +378,9 @@ class PairTree:
     children as M2 and M4.
     """
 
-    c_max: int | None
-    max_depth: int | None
     root: AssociatedPair
     nodes: list[AssociatedPair] = field(default_factory=list)
     edges: list[tuple[AssociatedPair, str, AssociatedPair]] = field(default_factory=list)
-
-    def node_ids(self) -> list[str]:
-        return [node_id(p) for p in self.nodes]
-
-    def to_json_obj(self) -> dict:
-        obj = {
-            "nodes": self.node_ids(),
-            "edges": [
-                {"from": node_id(p), "label": lab, "to": node_id(q)}
-                for p, lab, q in self.edges
-            ],
-        }
-        if self.c_max is not None:
-            obj["c_max"] = self.c_max
-        if self.max_depth is not None:
-            obj["max_depth"] = self.max_depth
-        return obj
-
-    def to_dot(self) -> str:
-        lines = ["digraph pairs {"]
-        for p in self.nodes:
-            lines.append(f'  "{node_id(p)}";')
-        for p, lab, q in self.edges:
-            lines.append(f'  "{node_id(p)}" -> "{node_id(q)}" [label="{lab}"];')
-        lines.append("}")
-        return "\n".join(lines)
 
 
 def node_id(pair: AssociatedPair) -> str:
@@ -432,7 +404,7 @@ def generate_tree(c_max: int | None = None, max_depth: int | None = None) -> Pai
         raise ValueError("max_depth must be nonnegative")
 
     root = AssociatedPair.from_member(EisensteinTriple(*ROOT_PAIR_UPPER))
-    tree = PairTree(c_max=c_max, max_depth=max_depth, root=root)
+    tree = PairTree(root=root)
     tree.nodes.append(root)
     seen = {root.upper.as_tuple()}
     queue: deque[tuple[AssociatedPair, int]] = deque([(root, 0)])

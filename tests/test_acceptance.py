@@ -34,6 +34,7 @@ from hexwr.triples import (
     associate,
     descend,
     generate_tree,
+    node_id,
     pair_of_angle_point,
     params_from_triple,
 )
@@ -287,7 +288,7 @@ def test_criterion_5_triple_machinery():
                 failures.append("... truncated")
                 break
         tree = generate_tree(10_000)
-        ids = tree.node_ids()
+        ids = [node_id(p) for p in tree.nodes]
         if len(ids) != len(set(ids)):
             failures.append("tree generation revisited a pair")
         want = {f"{p.upper.a},{p.upper.b},{p.upper.c}" for p in pairs}

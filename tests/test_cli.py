@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -348,16 +349,189 @@ class TestClassesAndIndexSet:
         assert "above the index-set bound" in err and "Traceback" not in err
 
 
+PINNED = {
+    ("count", "84", "table"): """\
+N(84) = 2
+u  j  d  m  n  k   minimum
+1  2  7  1  1  84  84
+0  2  1  5  3  4   76
+""",
+    ("count", "84", "csv"): """\
+u,j,d,m,n,k,minimum
+1,2,7,1,1,84,84
+0,2,1,5,3,4,76
+""",
+    ("count", "84", "json"): """\
+{
+  "J": 84,
+  "count": 2,
+  "representations": [
+    {
+      "d": 7,
+      "j": 2,
+      "k": 84,
+      "m": 1,
+      "minimum": 84,
+      "n": 1,
+      "u": 1
+    },
+    {
+      "d": 1,
+      "j": 2,
+      "k": 4,
+      "m": 5,
+      "minimum": 76,
+      "n": 3,
+      "u": 0
+    }
+  ]
+}
+""",
+    ("tree", "--cmax", "7", "table"): """\
+nodes: 2
+edges: 3
+0,1,1 -M1-> 0,1,1
+0,1,1 -M4-> 3,8,7
+0,1,1 -M5-> 3,8,7
+""",
+    ("tree", "--cmax", "7", "csv"): """\
+from,label,to
+"0,1,1",M1,"0,1,1"
+"0,1,1",M4,"3,8,7"
+"0,1,1",M5,"3,8,7"
+""",
+    ("tree", "--cmax", "7", "json"): """\
+{
+  "c_max": 7,
+  "edges": [
+    {
+      "from": "0,1,1",
+      "label": "M1",
+      "to": "0,1,1"
+    },
+    {
+      "from": "0,1,1",
+      "label": "M4",
+      "to": "3,8,7"
+    },
+    {
+      "from": "0,1,1",
+      "label": "M5",
+      "to": "3,8,7"
+    }
+  ],
+  "nodes": [
+    "0,1,1",
+    "3,8,7"
+  ]
+}
+""",
+    ("tree", "--cmax", "7", "dot"): """\
+digraph pairs {
+  "0,1,1";
+  "3,8,7";
+  "0,1,1" -> "0,1,1" [label="M1"];
+  "0,1,1" -> "3,8,7" [label="M4"];
+  "0,1,1" -> "3,8,7" [label="M5"];
+}
+""",
+}
+
+
+def cells(records, keys):
+    return [[str(rec[k]) for k in keys] for rec in records]
+
+
+def oracle_summary(doc=None, body=None):
+    """(j_max, checked, disagreeing indices) from the json document or the csv body.
+
+    Only disagreements in a class count or a maximum show in the csv.
+    """
+    if doc is not None:
+        return doc["j_max"], doc["checked"], [row["J"] for row in doc["disagreements"]]
+    return (int(body[-1][0]), len(body),
+            [int(row[0]) for row in body if row[1] != row[2] or row[3] != row[4]])
+
+
+# (argv, whether the table prints the csv rows aligned, the csv body read
+# off the json document); oracle compares summaries instead
+CROSS_FORMAT = [
+    (["count", "84"], True,
+     lambda doc: cells(doc["representations"], ["u", "j", "d", "m", "n", "k", "minimum"])),
+    (["maxmin", "--table1"], True,
+     lambda doc: cells(doc["rows"], ["J", "max_minimum", "lattice"])),
+    (["snr", "84"], True,
+     lambda doc: [[str(i + 1), str(e["m"]), str(e["n"]), str(e["minimum"]),
+                   f"{e['snr_db']:.9f}", f"{e['abs_error_bound']:.2e}"]
+                  for i, e in enumerate(doc["ranking"])]),
+    (["classes", "--cmax", "97"], True,
+     lambda doc: [[str(c["m"]), str(c["n"]), str(c["class_minimum"]), str(c["minimal_index"]),
+                   f"{c['cos_num']}/{c['cos_den']}"] for c in doc["classes"]]),
+    (["tree", "--cmax", "97"], False, lambda doc: cells(doc["edges"], ["from", "label", "to"])),
+    (["index-set", "--jmax", "120"], False, lambda doc: [[str(J)] for J in doc["members"]]),
+    (["oracle", "60"], False, None),
+]
+
+
+class TestOutputFormats:
+    @pytest.mark.parametrize("key", PINNED, ids=" ".join)
+    def test_pinned_output(self, capsys, key):
+        *argv, fmt = key
+        assert run_cli(capsys, *argv, "--format", fmt) == (0, PINNED[key], "")
+
+    def test_tree_exports(self, capsys):
+        obj = json.loads(run_cli(capsys, "tree", "--cmax", "7", "--format", "json")[1])
+        assert obj["c_max"] == 7 and "max_depth" not in obj
+        assert obj["nodes"] == ["0,1,1", "3,8,7"]
+        assert {"from": "0,1,1", "label": "M4", "to": "3,8,7"} in obj["edges"]
+        dot = run_cli(capsys, "tree", "--cmax", "7", "--format", "dot")[1]
+        assert dot.startswith("digraph")
+        assert '"0,1,1" -> "3,8,7" [label="M4"];' in dot
+        assert '"0,1,1" -> "0,1,1" [label="M1"];' in dot
+        obj = json.loads(run_cli(capsys, "tree", "--depth", "1", "--format", "json")[1])
+        assert obj["max_depth"] == 1 and "c_max" not in obj
+
+    def test_count_json_keys(self, capsys):
+        obj = json.loads(run_cli(capsys, "count", "84", "--format", "json")[1])
+        for rep in obj["representations"]:
+            assert set(rep) == {"u", "j", "d", "m", "n", "k", "minimum"}
+        assert obj["representations"][1] == {"u": 0, "j": 2, "d": 1, "m": 5, "n": 3,
+                                              "k": 4, "minimum": 76}
+
+    @pytest.mark.parametrize("argv, tabular, from_json", CROSS_FORMAT,
+                             ids=[" ".join(case[0]) for case in CROSS_FORMAT])
+    def test_formats_agree(self, capsys, argv, tabular, from_json):
+        outputs = {}
+        for fmt in ("table", "csv", "json"):
+            code, out, err = run_cli(capsys, *argv, "--format", fmt)
+            assert code == 0 and err == "", fmt
+            outputs[fmt] = out
+        rows = parse_csv(outputs["csv"])
+        doc = json.loads(outputs["json"])
+        assert rows[1:], "the comparison needs records"
+        if from_json is None:
+            assert oracle_summary(doc=doc) == oracle_summary(body=rows[1:])
+        else:
+            assert from_json(doc) == rows[1:]
+        if tabular:
+            # cells are padded and joined by two spaces; no cell holds two spaces
+            lines = outputs["table"].splitlines()[-len(rows):]
+            assert [re.split(r" {2,}", line) for line in lines] == rows
+
+
 class TestSizeLimits:
     # (argv before the value, type function, bound, its name, the work refused)
     LIMITS = [
         (["tree", "--cmax"], cli._cmax, cli.MAX_CMAX, "--cmax", "generate_tree"),
         (["classes", "--cmax"], cli._cmax, cli.MAX_CMAX, "--cmax", "admissible_params"),
         (["oracle"], cli._oracle_jmax, cli.MAX_ORACLE_JMAX, "oracle", "wr_scan"),
+        (["count"], cli._index, cli.MAX_INDEX, "index", "list_representations"),
+        (["maxmin"], cli._index, cli.MAX_INDEX, "index", "max_min"),
+        (["snr"], cli._index, cli.MAX_INDEX, "index", "count_N"),
     ]
 
     @pytest.mark.parametrize("argv, parse, bound, what, work", LIMITS,
-                             ids=["tree", "classes", "oracle"])
+                             ids=["tree", "classes", "oracle", "count", "maxmin", "snr"])
     def test_bound(self, capsys, monkeypatch, argv, parse, bound, what, work):
         def refuse(*args, **kwargs):
             raise AssertionError(f"{work} started above the bound")
@@ -369,6 +543,23 @@ class TestSizeLimits:
         assert time.perf_counter() - start < 1.0
         assert code == 1 and out == ""
         assert f"is above the {what} bound {bound}" in err and "Traceback" not in err
+
+    def test_snr_class_bound(self, capsys, monkeypatch):
+        # 4 * 3 * 7 * 13 * 19 * 31 * 37 * 43 * 61 * 67 has 708 classes
+        J = 4182276585396
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("zeta values started above the class bound")
+
+        monkeypatch.setattr(cli, "rank_by_snr", refuse)
+        assert enumeration.count_N(J) > cli.MAX_SNR_CLASSES
+        code, out, err = run_cli(capsys, "snr", str(J))
+        assert code == 1 and out == ""
+        assert f"has 708 classes, above the snr bound {cli.MAX_SNR_CLASSES}" in err
+        # at the bound itself the ranking runs
+        monkeypatch.setattr(cli, "count_N", lambda J: cli.MAX_SNR_CLASSES)
+        monkeypatch.setattr(cli, "rank_by_snr", lambda J, rel_tol: [])
+        assert run_cli(capsys, "snr", str(J))[0] == 0
 
 
 class TestDeferredImports:

@@ -123,10 +123,6 @@ class TestIndexRepresentation:
                 with pytest.raises(ValueError):
                     IndexRepresentation(u=0, j=1, d=d, params=ClassParams(1, 1))
 
-    def test_json_shape(self):
-        rep = IndexRepresentation(u=0, j=2, d=1, params=ClassParams(5, 3))
-        assert rep.to_json_obj() == {"u": 0, "j": 2, "d": 1, "m": 5, "n": 3}
-
     def test_to_sublattice(self):
         rep = IndexRepresentation(u=0, j=2, d=1, params=ClassParams(5, 3))
         L = rep.to_sublattice()

@@ -19,6 +19,7 @@ from hexwr.triples import (
     descend,
     generate_tree,
     generator_matrix,
+    node_id,
     pair_of_angle_point,
     params_from_triple,
     primitive_pair_from_params,
@@ -357,16 +358,16 @@ class TestTree:
 
     def test_small_tree(self):
         tree = generate_tree(c_max=7)
-        ids = tree.node_ids()
+        ids = [node_id(p) for p in tree.nodes]
         assert ids == ["0,1,1", "3,8,7"]
         labels = sorted(lab for p, lab, q in tree.edges)
         # M1 self-loop, M4 plus its duplicate M5; M2/M3 children exceed c_max
         assert labels == ["M1", "M4", "M5"]
 
     def test_depth_limited(self):
-        assert generate_tree(max_depth=0).node_ids() == ["0,1,1"]
+        assert [node_id(p) for p in generate_tree(max_depth=0).nodes] == ["0,1,1"]
         tree = generate_tree(max_depth=1)
-        assert set(tree.node_ids()) == {"0,1,1", "7,15,13", "3,8,7"}
+        assert {node_id(p) for p in tree.nodes} == {"0,1,1", "7,15,13", "3,8,7"}
         assert len(tree.edges) == 5
 
     def test_matches_direct_enumeration(self):
@@ -402,17 +403,6 @@ class TestTree:
                 continue
             lab, parent = descend(node.upper)
             assert (parent.as_tuple(), lab, node.upper.as_tuple()) in edge_set
-
-    def test_exports(self):
-        tree = generate_tree(c_max=7)
-        obj = tree.to_json_obj()
-        assert obj["c_max"] == 7
-        assert obj["nodes"] == ["0,1,1", "3,8,7"]
-        assert {"from": "0,1,1", "label": "M4", "to": "3,8,7"} in obj["edges"]
-        dot = tree.to_dot()
-        assert dot.startswith("digraph")
-        assert '"0,1,1" -> "3,8,7" [label="M4"];' in dot
-        assert '"0,1,1" -> "0,1,1" [label="M1"];' in dot
 
 
 class TestAllPairs:
