@@ -9,7 +9,7 @@ import os
 import sys
 from fractions import Fraction
 from functools import cache
-from itertools import compress
+from itertools import compress, islice
 from typing import NamedTuple
 
 from .enumeration import (
@@ -31,16 +31,16 @@ TABLE1_INDICES = (8, 15, 21, 24, 32, 35, 40, 45, 55, 60, 65)
 # Every accepted input stays within 10 s and 500 MB peak RSS; figures are for
 # a fresh process with stdout to /dev/null on a 2-core host with Python 3.11.
 # deepest `tree --depth` served without --cmax: (5^D + 1)/2 nodes, 195,313 at
-# D = 8, which takes 4.3-5.0 s and up to 366 MB in json and 3.1-3.9 s and
-# 121 MB in table, csv and dot.
+# D = 8, which takes 4.8-5.1 s and 182 MB in json and 3.4-4.5 s and 119 MB
+# in table, csv and dot.
 MAX_DEPTH_WITHOUT_CMAX = 8
 # largest `index-set --jmax`: the sieve and the output hold O(jmax) memory.
-# 10**6 runs in at most 1.3 s and 100 MB in every format; 10**7 takes up
-# to 11.6 s and 783 MB (csv).
+# 10**6 runs in at most 1.2 s and 64 MB in every format; 10**7 takes up
+# to 9.8 s (csv) and 489 MB (table, whose one line lists every member).
 MAX_INDEX_SET_JMAX = 10**6
 # largest `tree --cmax` and `classes --cmax`: nodes and classes grow about
-# linearly in cmax. At 10**6 tree takes 6.9-8.4 s and up to 259 MB (json),
-# classes 1.6-3.1 s and up to 274 MB (json).
+# linearly in cmax. At 10**6 tree takes 7.1-7.9 s and up to 128 MB (json),
+# classes 1.7-2.6 s and up to 93 MB (table).
 MAX_CMAX = 10**6
 # largest `oracle` jmax: one scan of the vectors of norm <= jmax finds about
 # 7 jmax reduced bases, then list_representations runs once per index.
@@ -115,7 +115,13 @@ def _emit(fmt: str, header, rows, doc, lead=(), table: bool = True) -> None:
     rows aligned in columns when table is true.
     """
     if fmt == "json":
-        print(json.dumps(doc(), indent=2, sort_keys=True))
+        # doc() is built before the first write, so a failure leaves stdout empty
+        chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(doc())
+        # 4096 encoder chunks per write: joining all of them holds the whole
+        # text next to the document, and one write per chunk is slower
+        while block := "".join(islice(chunks, 4096)):
+            sys.stdout.write(block)
+        sys.stdout.write("\n")
         return
     if fmt == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
@@ -303,15 +309,14 @@ def cmd_classes(args) -> int:
         (ClassParams(m, n) for m, n in admissible_params(args.cmax)),
         key=lambda p: (p.class_minimum, p.m),
     )
-    cosines = [p.cosine for p in found]
     _emit(args.format, ["m", "n", "class_minimum", "minimal_index", "cos"],
           ([str(p.m), str(p.n), str(p.class_minimum), str(p.minimal_index),
-            f"{cos.numerator}/{cos.denominator}"] for p, cos in zip(found, cosines)),
+            f"{cos.numerator}/{cos.denominator}"] for p in found for cos in [p.cosine]),
           lambda: {"c_max": args.cmax, "count": len(found),
                    "classes": [{"class_minimum": p.class_minimum, "cos_den": cos.denominator,
                                 "cos_num": cos.numerator, "m": p.m,
                                 "minimal_index": p.minimal_index, "n": p.n}
-                               for p, cos in zip(found, cosines)]},
+                               for p in found for cos in [p.cosine]]},
           lead=[f"similarity classes with minimum <= {args.cmax}: {len(found)}"])
     return 0
 

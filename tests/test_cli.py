@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -519,6 +520,70 @@ class TestOutputFormats:
             assert [re.split(r" {2,}", line) for line in lines] == rows
 
 
+class _Discard(io.TextIOBase):
+    """A text sink that keeps nothing, so traced memory is the command's own."""
+
+    def write(self, text):
+        return len(text)
+
+
+class TestJsonStream:
+    @pytest.mark.parametrize("argv", [
+        ["index-set", "--jmax", "20000"],
+        ["tree", "--cmax", "20000"],
+    ], ids=" ".join)
+    def test_blocks_join_to_the_whole_text(self, capsys, argv):
+        # each answer is several blocks of encoder chunks long
+        code, out, err = run_cli(capsys, *argv, "--format", "json")
+        assert (code, err) == (0, "")
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+    @staticmethod
+    def traced_peak(monkeypatch, *argv):
+        monkeypatch.setattr(sys, "stdout", _Discard())
+        tracemalloc.start()
+        try:
+            assert cli.main(list(argv)) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("argv, ratio", [
+        (["index-set", "--jmax", "200000"], 1.3),
+        (["tree", "--cmax", "50000"], 2.5),
+    ], ids=["index-set", "tree"])
+    def test_json_memory_near_csv(self, monkeypatch, argv, ratio):
+        # the json text is never held whole: its peak stays near the csv peak
+        cli._build_parser()  # built outside the traced runs
+        csv_peak = self.traced_peak(monkeypatch, *argv, "--format", "csv")
+        json_peak = self.traced_peak(monkeypatch, *argv, "--format", "json")
+        assert json_peak <= ratio * csv_peak, (json_peak, csv_peak)
+
+    def test_invariant_violation_in_doc_writes_nothing(self, capsys, monkeypatch):
+        node_id, calls = cli.node_id, []
+
+        def counting(pair):
+            calls.append(pair)
+            return node_id(pair)
+
+        monkeypatch.setattr(cli, "node_id", counting)
+        run_cli(capsys, "tree", "--cmax", "97", "--format", "json")
+        last = len(calls)
+        calls.clear()
+
+        def failing_last(pair):
+            # the document's last node id fails, after every other part is built
+            if len(calls) == last - 1:
+                raise InvariantViolation("boom")
+            return counting(pair)
+
+        monkeypatch.setattr(cli, "node_id", failing_last)
+        code, out, err = run_cli(capsys, "tree", "--cmax", "97", "--format", "json")
+        assert len(calls) == last - 1
+        assert (code, out) == (2, "")
+        assert err == "invariant violation: boom\n"
+
+
 class TestSizeLimits:
     # (argv before the value, type function, bound, its name, the work refused)
     LIMITS = [
@@ -675,7 +740,9 @@ class TestEntryPoints:
         (["tree", "--depth", "6"], 1),
         # a few lines: the reader closes first, so the last flush hits the closed pipe
         (["count", "84"], 0),
-    ], ids=["reader-closes-mid-output", "reader-closes-first"])
+        # the json text is written in blocks, so a block write hits the closed pipe
+        (["tree", "--depth", "6", "--format", "json"], 1),
+    ], ids=["reader-closes-mid-output", "reader-closes-first", "json-reader-closes-mid-output"])
     def test_broken_pipe_exits_quietly(self, argv, lines_read):
         # block-buffered stdout, as for any pipe unless PYTHONUNBUFFERED is set
         env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
