@@ -1,16 +1,19 @@
-"""Integer arithmetic behind the index counts: factorizations and norm splits.
+"""Integer arithmetic behind the index counts: factorizations, norm splits, admissibility.
 
 Every question the package asks about an integer (its divisors, whether it
 is a norm x^2 - xy + y^2, how it splits as a scale factor 3^u * j^2 * d)
-is read off one factorization, so each integer is factored once.  This
-module imports nothing from the package.
+is read off one factorization, so each integer is factored once.  The
+admissibility test of class parameters (m, n) lives here as well, so that
+counting classes needs neither the triple tree nor the lattice geometry;
+triples re-exports it.  This module imports nothing from the package.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Optional
 
-__all__ = ["factorize", "divisors", "multiplicities", "norm_split"]
+__all__ = ["factorize", "divisors", "multiplicities", "norm_split", "is_admissible"]
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -78,3 +81,16 @@ def norm_split(fac: dict[int, int]) -> Optional[tuple[int, int, int]]:
             else:
                 return None
     return (u, j, d)
+
+
+def is_admissible(m: int, n: int) -> bool:
+    """True for class parameters: m, n > 0 coprime, n <= m <= 2n, 3 not dividing m + n."""
+    return 1 <= n <= m <= 2 * n and math.gcd(m, n) == 1 and (m + n) % 3 != 0
+
+
+def _check_admissible(m: int, n: int) -> None:
+    if not is_admissible(m, n):
+        raise ValueError(
+            f"parameters {(m, n)} are not admissible: need coprime 0 < n <= m <= 2n "
+            "with 3 not dividing m + n"
+        )

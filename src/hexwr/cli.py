@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -12,7 +13,10 @@ from functools import cache
 from itertools import compress, islice
 from typing import NamedTuple
 
+# optimizer and triples are imported by the commands that use them, so that
+# count and index-set load only enumeration, arith and errors
 from .enumeration import (
+    ClassParams,
     IndexRepresentation,
     WrClassRecord,
     count_N,
@@ -21,9 +25,6 @@ from .enumeration import (
     wr_scan,
 )
 from .errors import InvariantViolation
-from .lattice import ClassParams
-from .optimizer import REL_TOL_FLOOR, max_min, rank_by_snr
-from .triples import admissible_params, generate_tree, node_id
 
 # the eleven classical small indices replayed by `maxmin --table1`
 TABLE1_INDICES = (8, 15, 21, 24, 32, 35, 40, 45, 55, 60, 65)
@@ -69,13 +70,20 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _quote(text: str) -> str:
+    """text quoted for a usage error, cut to its first 20 characters and its length."""
+    if len(text) <= 20:
+        return repr(text)
+    return f"{text[:20]!r}... ({len(text)} characters)"
+
+
 def _positive_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+        raise argparse.ArgumentTypeError(f"{_quote(text)} is not an integer")
     if value < 1:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+        raise argparse.ArgumentTypeError(f"{_quote(text)} is not a positive integer")
     return value
 
 
@@ -85,7 +93,7 @@ def _bounded_int(limit: int, what: str):
     def parse(text: str) -> int:
         value = _positive_int(text)
         if value > limit:
-            raise argparse.ArgumentTypeError(f"{text!r} is above the {what} bound {limit}")
+            raise argparse.ArgumentTypeError(f"{_quote(text)} is above the {what} bound {limit}")
         return value
 
     return parse
@@ -98,12 +106,21 @@ _index = _bounded_int(MAX_INDEX, "index")
 
 
 def _zeta_tol(text: str) -> float:
+    from .optimizer import REL_TOL_FLOOR
+
     try:
         value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number")
-    if not value >= REL_TOL_FLOOR:
-        raise argparse.ArgumentTypeError(f"{text!r} is below the zeta floor {REL_TOL_FLOOR:.3g}")
+        raise argparse.ArgumentTypeError(f"{_quote(text)} is not a number")
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{_quote(text)} is not a finite number")
+    if value < REL_TOL_FLOOR:
+        raise argparse.ArgumentTypeError(
+            f"{_quote(text)} is below the zeta floor {REL_TOL_FLOOR:.3g}")
+    # a relative error of 1 or more leaves the value unbounded, and the
+    # ranking would be served with bounds that mean nothing
+    if value >= 1:
+        raise argparse.ArgumentTypeError(f"{_quote(text)} is not below 1")
     return value
 
 
@@ -167,18 +184,20 @@ def cmd_count(args) -> int:
 
 
 def cmd_maxmin(args) -> int:
+    from . import optimizer
+
     if args.table1 == (args.J is not None):
         raise _UsageError("give exactly one of J or --table1")
     header = ["J", "max_minimum", "lattice"]
     if args.table1:
         records = []
         for J in TABLE1_INDICES:
-            res = max_min(J)
+            res = optimizer.max_min(J)
             records.append((J, res.best_minimum, "; ".join(map(_witness_name, res.witnesses))))
         _emit(args.format, header, ([str(v) for v in rec] for rec in records),
               lambda: {"rows": [dict(zip(header, rec)) for rec in records]})
         return 0
-    res = max_min(args.J)
+    res = optimizer.max_min(args.J)
     names = [_witness_name(w) for w in res.witnesses]
     if res.exists:
         lead = [f"max minimum of index-{args.J} well-rounded sublattices: {res.best_minimum}",
@@ -195,11 +214,13 @@ def cmd_maxmin(args) -> int:
 
 
 def cmd_snr(args) -> int:
+    from . import optimizer
+
     classes = count_N(args.J)
     if classes > MAX_SNR_CLASSES:
         raise _UsageError(f"index {args.J} has {classes} classes, "
                           f"above the snr bound {MAX_SNR_CLASSES}")
-    ranking = rank_by_snr(args.J, rel_tol=args.tol)
+    ranking = optimizer.rank_by_snr(args.J, rel_tol=args.tol)
     _emit(args.format, ["rank", "m", "n", "minimum", "snr_db", "error_bound"],
           ([str(i + 1), str(p.m), str(p.n), str(mini), f"{s.db:.9f}", f"{s.abs_error_bound:.2e}"]
            for i, (p, mini, s) in enumerate(ranking)),
@@ -212,11 +233,14 @@ def cmd_snr(args) -> int:
 
 
 def cmd_tree(args) -> int:
+    from . import triples
+
     if args.cmax is None and args.depth is None:
         raise _UsageError("give at least one of --cmax or --depth")
     if args.cmax is None and args.depth > MAX_DEPTH_WITHOUT_CMAX:
         raise _UsageError(f"--depth above {MAX_DEPTH_WITHOUT_CMAX} needs --cmax")
-    tree = generate_tree(c_max=args.cmax, max_depth=args.depth)
+    tree = triples.generate_tree(c_max=args.cmax, max_depth=args.depth)
+    node_id = triples.node_id
     if args.format == "dot":
         print("digraph pairs {")
         for p in tree.nodes:
@@ -305,8 +329,10 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_classes(args) -> int:
+    from . import triples
+
     found = sorted(
-        (ClassParams(m, n) for m, n in admissible_params(args.cmax)),
+        (ClassParams(m, n) for m, n in triples.admissible_params(args.cmax)),
         key=lambda p: (p.class_minimum, p.m),
     )
     _emit(args.format, ["m", "n", "class_minimum", "minimal_index", "cos"],

@@ -9,32 +9,32 @@ index-J sublattice in Hermite normal form, and wr_scan finds the reduced
 bases of every well-rounded sublattice of index up to X among the lattice
 vectors of norm up to X.  No serving command runs either: `hexwr oracle`
 runs wr_scan, and the tests and the benchmark checks call wr_survey.
+
+ClassParams, the name (m, n) of a class, is defined here (lattice
+re-exports it), and admissibility is tested in arith (triples re-exports
+is_admissible).  Counting needs only arith, so this module imports the
+lattice geometry inside the functions that build sublattices, and a
+command that only counts never loads lattice, triples or conic.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
 from operator import add
-from typing import Iterator, NamedTuple, Optional
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional
 
-from .arith import divisors, factorize, multiplicities, norm_split
+from .arith import _check_admissible, divisors, factorize, is_admissible, multiplicities, norm_split
 from .errors import InvariantViolation
-from .lattice import (
-    ClassParams,
-    HexSublattice,
-    angle_data,
-    dot2,
-    gamma_theta,
-    norm_form,
-    successive_minima,
-)
-from .triples import is_admissible
+
+if TYPE_CHECKING:
+    from .lattice import HexSublattice
 
 __all__ = [
+    "ClassParams",
     "IndexRepresentation",
     "decompose_k",
     "list_representations",
@@ -58,22 +58,68 @@ def decompose_k(k: int) -> Optional[tuple[int, int, int]]:
     return norm_split(factorize(k))
 
 
-@dataclass(frozen=True)
-class IndexRepresentation:
-    """One way of writing J = 3^u * j^2 * d * n(2m - n) with (m, n) admissible."""
+class _ClassParamsFields(NamedTuple):
+    m: int
+    n: int
 
+
+class ClassParams(_ClassParamsFields):
+    """Canonical name (m, n) of a similarity class of well-rounded sublattices.
+
+    Admissible parameters: positive, coprime, 1 <= m/n <= 2, and m + n not
+    divisible by 3.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, m: int, n: int) -> ClassParams:
+        _check_admissible(m, n)
+        return super().__new__(cls, m, n)
+
+    @property
+    def class_minimum(self) -> int:
+        """Smallest minimum over all sublattices in this class: m^2 - mn + n^2."""
+        m, n = self.m, self.n
+        return m * m - m * n + n * n
+
+    @property
+    def minimal_index(self) -> int:
+        """Index of the minimal representative: n(2m - n)."""
+        return self.n * (2 * self.m - self.n)
+
+    @property
+    def cosine(self) -> Fraction:
+        """cos of the class angle, |n^2 + 2mn - 2m^2| / (2(m^2 - mn + n^2))."""
+        m, n = self.m, self.n
+        return Fraction(abs(n * n + 2 * m * n - 2 * m * m), 2 * self.class_minimum)
+
+    def as_tuple(self) -> tuple[int, int]:
+        return (self.m, self.n)
+
+    def __str__(self) -> str:
+        return f"({self.m},{self.n})"
+
+
+class _IndexRepresentationFields(NamedTuple):
     u: int
     j: int
     d: int
     params: ClassParams
 
-    def __post_init__(self) -> None:
-        if self.u not in (0, 1):
+
+class IndexRepresentation(_IndexRepresentationFields):
+    """One way of writing J = 3^u * j^2 * d * n(2m - n) with (m, n) admissible."""
+
+    __slots__ = ()
+
+    def __new__(cls, u: int, j: int, d: int, params: ClassParams) -> IndexRepresentation:
+        if u not in (0, 1):
             raise ValueError("u must be 0 or 1")
-        if self.j < 1:
+        if j < 1:
             raise ValueError("j must be positive")
-        if decompose_k(self.d) != (0, 1, self.d):
-            raise ValueError(f"d={self.d} is not a squarefree product of primes = 1 mod 3")
+        if decompose_k(d) != (0, 1, d):
+            raise ValueError(f"d={d} is not a squarefree product of primes = 1 mod 3")
+        return super().__new__(cls, u, j, d, params)
 
     @property
     def k(self) -> int:
@@ -96,6 +142,8 @@ class IndexRepresentation:
         of norm k, which scales every squared length and the index by k
         while keeping the angle.
         """
+        from .lattice import HexSublattice, gamma_theta
+
         x, y = _norm_representation(self.k)
         g = gamma_theta(self.params)
         # coefficient matrix of multiplication by x + y*omega, times g's
@@ -211,6 +259,8 @@ def hnf_sublattices(J: int) -> Iterator[HexSublattice]:
     Upper-triangular Hermite form with 0 <= B < A makes the enumeration
     canonical; there are sigma(J) of them in total.
     """
+    from .lattice import HexSublattice
+
     for A in divisors(factorize(J)):
         D = J // A
         for B in range(A):
@@ -263,6 +313,8 @@ def wr_survey(J: int) -> tuple[WrClassRecord, ...]:
     Reduces each of the sigma(J) sublattices in Hermite normal form.  Records
     are strictly ordered by minimum (see _ordered_records).
     """
+    from .lattice import angle_data, successive_minima
+
     found: dict[tuple[int, int, int], list] = {}
     for L in hnf_sublattices(J):
         m1, m2 = successive_minima(L)
@@ -289,6 +341,8 @@ def wr_scan(X: int) -> dict[int, tuple[WrClassRecord, ...]]:
     raises InvariantViolation.  The witness of a record is the first basis
     found.  Every J in 1..X is a key, () where no sublattice is well-rounded.
     """
+    from .lattice import HexSublattice, dot2, norm_form
+
     if X < 1:
         raise ValueError(f"X={X} must be positive")
     by_norm: dict[int, list[tuple[int, int]]] = {}

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .conic import ProjectiveTriple
+from .enumeration import ClassParams
 from .errors import InvariantViolation
-from .triples import _check_admissible, pair_of_angle_point, params_from_triple
+from .triples import pair_of_angle_point, params_from_triple
 
 __all__ = [
     "HexSublattice",
@@ -173,43 +174,6 @@ def angle_data(L: HexSublattice) -> AngleData:
     # gcd(p, q) divides rr since q^2 - p^2 = 3 rr^2, so t.x / t.z is p / q in lowest terms
     t = ProjectiveTriple.from_raw(p, rr, q)
     return AngleData(t.x, t.z, t)
-
-
-@dataclass(frozen=True)
-class ClassParams:
-    """Canonical name (m, n) of a similarity class of well-rounded sublattices.
-
-    Admissible parameters: positive, coprime, 1 <= m/n <= 2, and m + n not
-    divisible by 3.
-    """
-
-    m: int
-    n: int
-
-    def __post_init__(self) -> None:
-        _check_admissible(self.m, self.n)
-
-    @property
-    def class_minimum(self) -> int:
-        """Smallest minimum over all sublattices in this class: m^2 - mn + n^2."""
-        return norm_form(self.m, self.n)
-
-    @property
-    def minimal_index(self) -> int:
-        """Index of the minimal representative: n(2m - n)."""
-        return self.n * (2 * self.m - self.n)
-
-    @property
-    def cosine(self) -> Fraction:
-        """cos of the class angle, |n^2 + 2mn - 2m^2| / (2(m^2 - mn + n^2))."""
-        m, n = self.m, self.n
-        return Fraction(abs(n * n + 2 * m * n - 2 * m * m), 2 * norm_form(m, n))
-
-    def as_tuple(self) -> tuple[int, int]:
-        return (self.m, self.n)
-
-    def __str__(self) -> str:
-        return f"({self.m},{self.n})"
 
 
 def gamma_theta(params: ClassParams) -> HexSublattice:

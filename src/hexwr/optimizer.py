@@ -10,14 +10,15 @@ are derived.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .arith import factorize, norm_split
-from .enumeration import IndexRepresentation, list_representations
+from .enumeration import ClassParams, IndexRepresentation, list_representations
 from .errors import InvariantViolation
-from .lattice import ClassParams, HexSublattice, lagrange_reduce
+
+if TYPE_CHECKING:
+    from .lattice import HexSublattice
 
 __all__ = [
     "MaxMinResult",
@@ -57,8 +58,7 @@ def eliminate_test(J: int) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class MaxMinResult:
+class MaxMinResult(NamedTuple):
     """Outcome of maximizing the minimum over index-J well-rounded sublattices."""
 
     J: int
@@ -115,8 +115,7 @@ REL_TOL_FLOOR = 2.0**-48
 DIRECT_REL_TOL_FLOOR = 1e-12
 
 
-@dataclass(frozen=True)
-class ZetaValue:
+class ZetaValue(NamedTuple):
     """Epstein zeta value with a rigorous two-sided error bound."""
 
     value: float
@@ -124,8 +123,7 @@ class ZetaValue:
     truncation_radius: int
 
 
-@dataclass(frozen=True)
-class SnrValue:
+class SnrValue(NamedTuple):
     """Signal-to-noise ratio in decibels, with propagated error bound."""
 
     db: float
@@ -152,6 +150,8 @@ def _form_points(A: int, B: int, C: int, bound: int):
 
 def _gram(L: HexSublattice) -> tuple[int, int, int]:
     """Integer form coefficients (N1, D, N2) of the squared length on L."""
+    from .lattice import lagrange_reduce
+
     r = lagrange_reduce(L)
     n1, n2 = r.norms
     return n1, r.inner2, n2

@@ -17,6 +17,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterator
 
+from .arith import _check_admissible, is_admissible
 from .conic import ProjectiveTriple, solve_norm_form
 from .errors import InvariantViolation
 
@@ -135,19 +136,6 @@ def primitive_pair_from_params(m: int, n: int) -> AssociatedPair:
     _check_admissible(m, n)
     a, b, c = solve_norm_form(m, n)
     return AssociatedPair.from_member(EisensteinTriple(a, b, c))
-
-
-def is_admissible(m: int, n: int) -> bool:
-    """True for class parameters: m, n > 0 coprime, n <= m <= 2n, 3 not dividing m + n."""
-    return 1 <= n <= m <= 2 * n and math.gcd(m, n) == 1 and (m + n) % 3 != 0
-
-
-def _check_admissible(m: int, n: int) -> None:
-    if not is_admissible(m, n):
-        raise ValueError(
-            f"parameters {(m, n)} are not admissible: need coprime 0 < n <= m <= 2n "
-            "with 3 not dividing m + n"
-        )
 
 
 def admissible_params(c_max: int) -> Iterator[tuple[int, int]]:

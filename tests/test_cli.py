@@ -15,8 +15,13 @@ from types import SimpleNamespace
 
 import pytest
 
-from hexwr import cli, enumeration
-from hexwr.enumeration import index_set_member, list_representations
+from hexwr import arith, cli, enumeration, lattice, optimizer, triples
+from hexwr.enumeration import (
+    ClassParams,
+    IndexRepresentation,
+    index_set_member,
+    list_representations,
+)
 from hexwr.errors import InvariantViolation
 from hexwr.optimizer import rank_by_snr
 
@@ -148,11 +153,23 @@ class TestSnr:
         assert out == ""
         assert "floor" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("tol, reason", [
+        ("nan", "is not a finite number"),
+        ("inf", "is not a finite number"),
+        ("1e300", "is not below 1"),
+        ("1", "is not below 1"),
+    ])
+    def test_tol_without_meaning(self, capsys, tol, reason):
+        # no finite relative error bound follows from these, so none is served
+        code, out, err = run_cli(capsys, "snr", "84", "--tol", tol)
+        assert (code, out) == (1, "")
+        assert err.endswith(f"error: argument --tol: {tol!r} {reason}\n")
+
     def test_invariant_violation_exit_code(self, capsys, monkeypatch):
         def explode(J, rel_tol=1e-9):
             raise InvariantViolation("boom")
 
-        monkeypatch.setattr(cli, "rank_by_snr", explode)
+        monkeypatch.setattr(optimizer, "rank_by_snr", explode)
         code, _, err = run_cli(capsys, "snr", "84")
         assert code == 2
         assert "invariant violation" in err
@@ -560,13 +577,13 @@ class TestJsonStream:
         assert json_peak <= ratio * csv_peak, (json_peak, csv_peak)
 
     def test_invariant_violation_in_doc_writes_nothing(self, capsys, monkeypatch):
-        node_id, calls = cli.node_id, []
+        node_id, calls = triples.node_id, []
 
         def counting(pair):
             calls.append(pair)
             return node_id(pair)
 
-        monkeypatch.setattr(cli, "node_id", counting)
+        monkeypatch.setattr(triples, "node_id", counting)
         run_cli(capsys, "tree", "--cmax", "97", "--format", "json")
         last = len(calls)
         calls.clear()
@@ -577,7 +594,7 @@ class TestJsonStream:
                 raise InvariantViolation("boom")
             return counting(pair)
 
-        monkeypatch.setattr(cli, "node_id", failing_last)
+        monkeypatch.setattr(triples, "node_id", failing_last)
         code, out, err = run_cli(capsys, "tree", "--cmax", "97", "--format", "json")
         assert len(calls) == last - 1
         assert (code, out) == (2, "")
@@ -585,29 +602,38 @@ class TestJsonStream:
 
 
 class TestSizeLimits:
-    # (argv before the value, type function, bound, its name, the work refused)
+    # (argv before the value, type function, bound, its name, the module that
+    # the command calls the work through, the work refused)
     LIMITS = [
-        (["tree", "--cmax"], cli._cmax, cli.MAX_CMAX, "--cmax", "generate_tree"),
-        (["classes", "--cmax"], cli._cmax, cli.MAX_CMAX, "--cmax", "admissible_params"),
-        (["oracle"], cli._oracle_jmax, cli.MAX_ORACLE_JMAX, "oracle", "wr_scan"),
-        (["count"], cli._index, cli.MAX_INDEX, "index", "list_representations"),
-        (["maxmin"], cli._index, cli.MAX_INDEX, "index", "max_min"),
-        (["snr"], cli._index, cli.MAX_INDEX, "index", "count_N"),
+        (["tree", "--cmax"], cli._cmax, cli.MAX_CMAX, "--cmax", triples, "generate_tree"),
+        (["classes", "--cmax"], cli._cmax, cli.MAX_CMAX, "--cmax", triples, "admissible_params"),
+        (["oracle"], cli._oracle_jmax, cli.MAX_ORACLE_JMAX, "oracle", cli, "wr_scan"),
+        (["count"], cli._index, cli.MAX_INDEX, "index", cli, "list_representations"),
+        (["maxmin"], cli._index, cli.MAX_INDEX, "index", optimizer, "max_min"),
+        (["snr"], cli._index, cli.MAX_INDEX, "index", cli, "count_N"),
     ]
 
-    @pytest.mark.parametrize("argv, parse, bound, what, work", LIMITS,
+    @pytest.mark.parametrize("argv, parse, bound, what, owner, work", LIMITS,
                              ids=["tree", "classes", "oracle", "count", "maxmin", "snr"])
-    def test_bound(self, capsys, monkeypatch, argv, parse, bound, what, work):
+    def test_bound(self, capsys, monkeypatch, argv, parse, bound, what, owner, work):
         def refuse(*args, **kwargs):
             raise AssertionError(f"{work} started above the bound")
 
-        monkeypatch.setattr(cli, work, refuse)
+        monkeypatch.setattr(owner, work, refuse)
         assert parse(str(bound)) == bound
         start = time.perf_counter()
         code, out, err = run_cli(capsys, *argv, str(bound + 1))
         assert time.perf_counter() - start < 1.0
         assert code == 1 and out == ""
         assert f"is above the {what} bound {bound}" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [["count"], ["snr", "84", "--tol"]], ids=" ".join)
+    def test_huge_argument_is_not_echoed(self, capsys, argv):
+        text = "9" * 5000
+        code, out, err = run_cli(capsys, *argv, text)
+        assert (code, out) == (1, "")
+        assert f"{'9' * 20!r}... (5000 characters)" in err
+        assert len(err) < 300 and err.count("\n") == 2  # usage line and error line
 
     def test_snr_class_bound(self, capsys, monkeypatch):
         # 4 * 3 * 7 * 13 * 19 * 31 * 37 * 43 * 61 * 67 has 708 classes
@@ -616,14 +642,14 @@ class TestSizeLimits:
         def refuse(*args, **kwargs):
             raise AssertionError("zeta values started above the class bound")
 
-        monkeypatch.setattr(cli, "rank_by_snr", refuse)
+        monkeypatch.setattr(optimizer, "rank_by_snr", refuse)
         assert enumeration.count_N(J) > cli.MAX_SNR_CLASSES
         code, out, err = run_cli(capsys, "snr", str(J))
         assert code == 1 and out == ""
         assert f"has 708 classes, above the snr bound {cli.MAX_SNR_CLASSES}" in err
         # at the bound itself the ranking runs
         monkeypatch.setattr(cli, "count_N", lambda J: cli.MAX_SNR_CLASSES)
-        monkeypatch.setattr(cli, "rank_by_snr", lambda J, rel_tol: [])
+        monkeypatch.setattr(optimizer, "rank_by_snr", lambda J, rel_tol: [])
         assert run_cli(capsys, "snr", str(J))[0] == 0
 
 
@@ -664,6 +690,35 @@ class TestDeferredImports:
         code, out, modules = self.fresh("oracle", "1000")
         assert (code, out) == (0, "OK: 1000/1000 indices agree\n")
         assert [name for name in self.HEAVY if name in modules] == []
+
+    # a command that only counts needs neither the geometry nor the tree
+    GEOMETRY = ("dataclasses", "hexwr.lattice", "hexwr.triples", "hexwr.conic", "hexwr.optimizer")
+
+    @pytest.mark.parametrize("argv, needs", [
+        (["count", "1"], []),
+        (["index-set", "--jmax", "100"], []),
+        (["maxmin", "45"], ["hexwr.optimizer"]),
+    ], ids=["count 1", "index-set --jmax 100", "maxmin 45"])
+    def test_counting_commands_skip_the_geometry(self, argv, needs):
+        code, _, modules = self.fresh(*argv)
+        assert code == 0
+        assert [name for name in self.GEOMETRY if name in modules] == needs
+
+    def test_moved_names_keep_their_old_paths(self):
+        assert lattice.ClassParams is enumeration.ClassParams
+        assert triples.is_admissible is arith.is_admissible
+
+    @pytest.mark.parametrize("record, field", [
+        (IndexRepresentation(u=1, j=2, d=7, params=ClassParams(1, 1)), "u"),
+        (ClassParams(3, 2), "m"),
+        (optimizer.MaxMinResult(J=8, best_minimum=7, witnesses=[], exists=True), "best_minimum"),
+        (optimizer.ZetaValue(value=7.7, abs_error_bound=1e-9, truncation_radius=4), "value"),
+        (optimizer.SnrValue(db=-18.4, abs_error_bound=1e-8), "db"),
+    ], ids=["IndexRepresentation", "ClassParams", "MaxMinResult", "ZetaValue", "SnrValue"])
+    def test_records_refuse_assignment(self, record, field):
+        for name in (field, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 0)
 
     def test_snr_loads_mpmath(self, capsys):
         code, out, modules = self.fresh("snr", "84")
